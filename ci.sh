@@ -5,7 +5,10 @@
 #   1. gofmt      — no unformatted files (analysis testdata excluded:
 #                   fixtures deliberately hold un-idiomatic code)
 #   2. go vet     — the stock toolchain analyzers
-#   3. go build   — everything compiles
+#   3. go build   — everything compiles; then the benchmark module
+#                   (perfbench/, its own go.mod, so ./... skips it) must
+#                   pass go vet and go test, since it imports the fault,
+#                   defense, serve and attack APIs directly
 #   4. gpuvet     — the repo's own invariants (see README "Static
 #                   analysis & CI"); production packages only, gated
 #                   against the committed gpuvet-baseline.json, with the
@@ -105,6 +108,9 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> perfbench: go vet + go test"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> gpuvet ./..."
 # Findings gate against the committed baseline (currently empty — any

@@ -14,6 +14,8 @@ import (
 
 	"gpuleak/internal/android"
 	"gpuleak/internal/attack"
+	"gpuleak/internal/channel"
+	"gpuleak/internal/defense"
 	"gpuleak/internal/fault"
 	"gpuleak/internal/input"
 	"gpuleak/internal/keyboard"
@@ -129,10 +131,14 @@ func main() {
 		if fs == 0 {
 			fs = fault.Seed(*seed, 0)
 		}
-		faultFile = fault.NewFile(f, p, fs)
+		st, err := defense.Wrap(channel.DefaultName, f, p, fs, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		faultFile = st.Fault
 		faultFile.Obs = tracer
 		df = faultFile
-		atk.Retry = attack.DefaultRetryPolicy()
+		atk.Retry = st.Retry
 		log.Printf("fault injection: profile %s (rate %.3f, fault seed %d), retry policy armed", p.Name, p.Rate(), fs)
 	}
 	var res *attack.Result

@@ -14,7 +14,9 @@
 //     UI stack: keyboards, login screens, compositor, device models;
 //   - internal/attack — the paper's contribution: offline training,
 //     online inference (Algorithm 1), app-switch and correction handling;
-//   - internal/mitigate — §9 defenses (RBAC policies, obfuscation);
+//   - internal/defense — §9 defenses (RBAC policies, obfuscation, the
+//     SELinux ioctl whitelist) and the registry of strength-swept
+//     countermeasures;
 //   - internal/fault — a deterministic fault plane for the device file
 //     (EBUSY bursts, counter revocation, missed ticks, wrapped reads);
 //   - internal/exp — one runner per paper table/figure.
@@ -80,11 +82,11 @@ import (
 	"gpuleak/internal/android"
 	"gpuleak/internal/attack"
 	"gpuleak/internal/channel"
+	"gpuleak/internal/defense"
 	"gpuleak/internal/exp"
 	"gpuleak/internal/input"
 	"gpuleak/internal/keyboard"
 	"gpuleak/internal/kgsl"
-	"gpuleak/internal/mitigate"
 	"gpuleak/internal/obs"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/trace"
@@ -231,25 +233,25 @@ func PracticalSession(text string, v Volunteer, seed int64) Script {
 
 // NewRBACPolicy returns the §9.2 SELinux-style role-based access control
 // policy; install it with Session.Device.SetPolicy to block the attack.
-func NewRBACPolicy() *mitigate.RBACPolicy { return mitigate.NewRBACPolicy() }
+func NewRBACPolicy() *defense.RBACPolicy { return defense.NewRBACPolicy() }
 
 // NewObfuscator returns the §9.3 counter obfuscator; install it with
 // Session.Device.SetObfuscator. Amplitude 1 injects key-press-sized noise.
-func NewObfuscator(amplitude float64, seed uint64) *mitigate.NoiseObfuscator {
-	return &mitigate.NoiseObfuscator{Amplitude: amplitude, Seed: seed}
+func NewObfuscator(amplitude float64, seed uint64) *defense.NoiseObfuscator {
+	return &defense.NoiseObfuscator{Amplitude: amplitude, Seed: seed}
 }
 
 // NewSELinuxPolicy compiles a §9.2 ioctl-whitelist policy document; see
-// mitigate.GooglePatchPolicy for the rule syntax and the shipped fix.
-func NewSELinuxPolicy(doc string) (*mitigate.IoctlPolicy, error) {
-	return mitigate.ParsePolicy(strings.NewReader(doc))
+// defense.GooglePatchPolicy for the rule syntax and the shipped fix.
+func NewSELinuxPolicy(doc string) (*defense.IoctlPolicy, error) {
+	return defense.ParsePolicy(strings.NewReader(doc))
 }
 
 // GooglePatchPolicy returns the compiled shape of the post-disclosure
 // Android fix: apps keep the ioctls the GL driver needs but lose the
 // global PERFCOUNTER_READ.
-func GooglePatchPolicy() *mitigate.IoctlPolicy {
-	return mitigate.NewGooglePatchPolicy()
+func GooglePatchPolicy() *defense.IoctlPolicy {
+	return defense.NewGooglePatchPolicy()
 }
 
 // Experiment is one entry of the paper's evaluation suite (one runner

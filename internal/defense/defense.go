@@ -16,6 +16,9 @@
 // (Policy.Channels) is what lets defenses compose with the fusion path:
 // a KGSL-only defense leaves the proccount probe untouched, and the
 // fused attacker keeps whatever the undefended channel still leaks.
+// Wrap is the one place a channel's read path is stacked — device, then
+// the internal/fault plane, then the armed instance — and where the
+// sampler's retry policy is decided.
 //
 // Implementations self-register through Register from their package's
 // init function (the gpuvet defensereg analyzer enforces this, mirroring

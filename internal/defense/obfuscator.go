@@ -13,8 +13,7 @@ import (
 // a monotone random walk on top of real work. Amplitude is the mean extra
 // counter increment per vsync-sized bucket, expressed as a fraction of
 // Scale (the typical key-press delta of that counter). It implements
-// kgsl.Obfuscator and backs the registered "noise" defense; the historic
-// mitigate.NoiseObfuscator name aliases it.
+// kgsl.Obfuscator and backs the registered "noise" defense.
 type NoiseObfuscator struct {
 	// Amplitude is the obfuscation strength: 0 disables, 1 injects
 	// key-press-sized noise every bucket (heavy GPU cost).

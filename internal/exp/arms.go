@@ -3,17 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"gpuleak/internal/attack"
-	"gpuleak/internal/channel"
 	"gpuleak/internal/defense"
-	"gpuleak/internal/input"
-	"gpuleak/internal/obs"
-	"gpuleak/internal/parallel"
-	"gpuleak/internal/proccount"
-	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/trace"
-	"gpuleak/internal/victim"
 )
 
 // The arms experiment runs the attack-vs-defense tournament: every
@@ -86,120 +77,6 @@ type ArmsPoint struct {
 	Flipped   int `json:"flipped,omitempty"`
 }
 
-// armsTrial is one tournament session's outcome across both channels.
-type armsTrial struct {
-	kgsl, proc, fused, truth string
-	blocked                  bool
-	degraded                 bool
-	recovered, flipped       int
-}
-
-// armsOnce runs one victim session against one armed defense (nil pol =
-// undefended baseline): KGSL and proccount collected through the
-// defense's probe wraps with the default retry policy, inferred
-// independently, then fused at decision level. A failed KGSL collection
-// (or an all-masked trace the recognizer rejects) is a blocked trial —
-// the attacker degrades to the surviving channel instead of failing.
-func armsOnce(o Options, cfg victim.Config, pm, sm *attack.Model, sch channel.Channel,
-	text string, pol defense.Policy, strength float64, seed, defSeed int64, tr *obs.Tracer) (armsTrial, error) {
-
-	c := cfg
-	c.Seed = seed
-	sess := victim.New(c)
-	sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny,
-		sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
-	out := armsTrial{truth: sess.TypedText()}
-
-	var inst defense.Instance = nil
-	if pol != nil {
-		var err error
-		inst, err = pol.Arm(sess, strength, defSeed)
-		if err != nil {
-			return out, err
-		}
-	}
-
-	retry := attack.DefaultRetryPolicy()
-
-	// Primary: the KGSL channel through the defense's read path.
-	f, err := sess.Open()
-	if err != nil {
-		return out, err
-	}
-	var pprobe channel.Probe = f
-	if inst != nil {
-		pprobe = inst.WrapProbe(channel.DefaultName, pprobe)
-	}
-	pa := &attack.Attack{Models: []*attack.Model{pm}, Interval: attack.DefaultInterval,
-		Retry: retry, Obs: tr}
-	var pres *attack.Result
-	var ptr *trace.Trace
-	ps, err := attack.NewSamplerRetry(pprobe, attack.DefaultInterval, retry)
-	if err != nil {
-		out.blocked = true
-	} else {
-		ps.Obs = tr
-		t, err := ps.CollectContext(o.Context(), 0, sess.End)
-		if err != nil {
-			if o.Context().Err() != nil {
-				return out, err
-			}
-			out.blocked = true
-		} else {
-			out.degraded = ps.Stats.Degraded()
-			r, err := pa.EavesdropTrace(t)
-			if err != nil {
-				// A fully masked or starved trace the recognizer rejects:
-				// the channel went dark, not the experiment.
-				out.blocked = true
-			} else {
-				pres, ptr = r, t
-				out.kgsl = r.Text
-			}
-		}
-	}
-
-	// Secondary: the proccount channel, same retry machinery (defenses
-	// that cover it deny with its own taxonomy).
-	sf, err := sch.Open(sess)
-	if err != nil {
-		return out, err
-	}
-	var sprobe channel.Probe = sf
-	if inst != nil {
-		sprobe = inst.WrapProbe(sch.Name(), sprobe)
-	}
-	sa := &attack.Attack{Models: []*attack.Model{sm}, Interval: sch.Interval(),
-		Errors: sch.Taxonomy(), Retry: retry}
-	var sres *attack.Result
-	ss, err := attack.NewSamplerTaxonomy(sprobe, sch.Interval(), retry, sch.Taxonomy())
-	if err == nil {
-		str, err := ss.CollectContext(o.Context(), 0, sess.End)
-		if err != nil {
-			if o.Context().Err() != nil {
-				return out, err
-			}
-		} else if r, err := sa.EavesdropTrace(str); err == nil {
-			sres = r
-			out.proc = r.Text
-		}
-	}
-
-	// Decision-level fusion, degrading to whichever channel survived.
-	switch {
-	case pres != nil && sres != nil:
-		fr := attack.Fuse(pm, ptr.Deltas(), pres, sm, sres, attack.DefaultInterval, attack.FusionOptions{})
-		out.fused = fr.Fused.Text
-		out.recovered = fr.Recovered
-		out.flipped = fr.Flipped
-	case pres != nil:
-		out.fused = pres.Text
-	case sres != nil:
-		out.fused = sres.Text
-	}
-	return out, nil
-}
-
 // RunArmsTournament sweeps the named defenses over the strength grid,
 // trials victim sessions per cell plus the shared undefended baseline,
 // fanned out over o.Workers. Every session, credential and defense seed
@@ -221,60 +98,19 @@ func RunArmsTournament(o Options, names []string, strengths []float64, trials, t
 		pols[i] = p
 	}
 
-	cfg := DefaultConfig()
-	pm, err := TrainModelChannel(cfg, o.Workers, "")
-	if err != nil {
-		return nil, err
-	}
-	sm, err := TrainModelChannel(cfg, o.Workers, proccount.Name)
-	if err != nil {
-		return nil, err
-	}
-	sch, err := channel.Get(proccount.Name)
-	if err != nil {
-		return nil, err
-	}
-
-	rng := sim.NewRand(o.Seed)
-	texts := make([]string, trials)
-	for i := range texts {
-		texts[i] = input.RandomText(rng, LowerDigits, textLen)
-	}
-
-	// Work items: the shared baseline block first, then one block per
-	// (defense, strength) cell. Victim seeds depend only on the trial
-	// index, so every cell replays the same sessions as the baseline.
-	cells := len(pols) * len(strengths)
-	n := (1 + cells) * trials
-	var children []*obs.Tracer
-	if o.Obs != nil {
-		children = make([]*obs.Tracer, n)
-		for i := range children {
-			children[i] = o.Obs.Child(fmt.Sprintf("arms/%04d", i))
+	// Cells: the shared undefended baseline first, then one per (defense,
+	// strength). Victim seeds depend only on the trial index, so every
+	// cell replays the same sessions as the baseline. The attacker runs
+	// at full power everywhere — retry policy armed even on the baseline
+	// — and a blocked KGSL channel degrades to proccount.
+	sw := sweep{cells: []sweepCell{{}}, trials: trials, textLen: textLen,
+		fuse: true, retry: true, fallback: true, track: "arms"}
+	for _, pol := range pols {
+		for _, s := range strengths {
+			sw.cells = append(sw.cells, sweepCell{defense: pol, strength: s})
 		}
 	}
-	slots := make([]armsTrial, n)
-	err = parallel.ForEachCtx(o.Context(), o.Workers, n, func(i int) error {
-		trial := i % trials
-		cell := i/trials - 1 // -1 is the baseline block
-		var pol defense.Policy
-		strength := 0.0
-		if cell >= 0 {
-			pol = pols[cell/len(strengths)]
-			strength = strengths[cell%len(strengths)]
-		}
-		var tr *obs.Tracer
-		if children != nil {
-			tr = children[i]
-		}
-		t, err := armsOnce(o, cfg, pm, sm, sch, texts[trial], pol, strength,
-			o.Seed+int64(trial)*101, defense.Seed(o.Seed, i), tr)
-		if err != nil {
-			return err
-		}
-		slots[i] = t
-		return nil
-	})
+	slots, err := sw.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -284,14 +120,13 @@ func RunArmsTournament(o Options, names []string, strengths []float64, trials, t
 		pt := ArmsPoint{Strength: strength, Overhead: overhead}
 		for trial := 0; trial < trials; trial++ {
 			t := slots[block*trials+trial]
-			kgsl = append(kgsl, t.kgsl)
-			proc = append(proc, t.proc)
+			kgsl = append(kgsl, resultText(t.kgsl))
+			proc = append(proc, resultText(t.proc))
 			fused = append(fused, t.fused)
 			truth = append(truth, t.truth)
-			if t.blocked {
+			if t.kgsl == nil {
 				pt.Blocked++
-			}
-			if t.degraded {
+			} else if t.kgsl.Recovery.Degraded() {
 				pt.Degraded++
 			}
 			pt.Recovered += t.recovered

@@ -3,15 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"gpuleak/internal/attack"
-	"gpuleak/internal/channel"
 	"gpuleak/internal/fault"
-	"gpuleak/internal/input"
-	"gpuleak/internal/parallel"
-	"gpuleak/internal/proccount"
-	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/victim"
 )
 
 // The fusion experiment quantifies the channel plane's headline claim:
@@ -23,121 +16,19 @@ import (
 // profiles model), and decision-level fusion of the two — under every
 // predefined fault profile.
 
-// fusionTrial is one (profile, trial) outcome across the three readers.
-type fusionTrial struct {
-	kgsl, proc, fused, truth string
-	recovered, flipped       int
-	fatal                    bool
-}
-
-// fusionOnce runs one session through all three readers.
-func fusionOnce(o Options, cfg victim.Config, pm, sm *attack.Model, sch channel.Channel,
-	text string, p fault.Profile, faultSeed, seed int64) (fusionTrial, error) {
-
-	c := cfg
-	c.Seed = seed
-	sess := victim.New(c)
-	sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny,
-		sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
-	out := fusionTrial{truth: sess.TypedText()}
-
-	// Primary: KGSL through the fault plane, retry policy armed.
-	f, err := sess.Open()
-	if err != nil {
-		return out, err
-	}
-	ff := fault.NewFile(f, p, faultSeed)
-	pa := &attack.Attack{Models: []*attack.Model{pm}, Interval: attack.DefaultInterval,
-		Retry: attack.DefaultRetryPolicy()}
-	ps, err := attack.NewSamplerRetry(ff, attack.DefaultInterval, pa.Retry)
-	if err != nil {
-		out.fatal = true
-		return out, nil
-	}
-	ptr, err := ps.CollectContext(o.Context(), 0, sess.End)
-	if err != nil {
-		if o.Context().Err() != nil {
-			return out, err
-		}
-		out.fatal = true
-		return out, nil
-	}
-	pres, err := pa.EavesdropTrace(ptr)
-	if err != nil {
-		return out, err
-	}
-	out.kgsl = pres.Text
-
-	// Secondary: the OS-counter channel, no fault plane.
-	sf, err := sch.Open(sess)
-	if err != nil {
-		return out, err
-	}
-	sa := &attack.Attack{Models: []*attack.Model{sm}, Interval: sch.Interval(),
-		Errors: sch.Taxonomy()}
-	ss, err := attack.NewSamplerTaxonomy(sf, sch.Interval(), attack.RetryPolicy{}, sch.Taxonomy())
-	if err != nil {
-		return out, err
-	}
-	str, err := ss.CollectContext(o.Context(), 0, sess.End)
-	if err != nil {
-		return out, err
-	}
-	sres, err := sa.EavesdropTrace(str)
-	if err != nil {
-		return out, err
-	}
-	out.proc = sres.Text
-
-	fr := attack.Fuse(pm, ptr.Deltas(), pres, sm, sres, attack.DefaultInterval, attack.FusionOptions{})
-	out.fused = fr.Fused.Text
-	out.recovered = fr.Recovered
-	out.flipped = fr.Flipped
-	return out, nil
-}
-
 // RunFusion is the registry entry point: per fault profile, per-channel
 // and fused accuracy. The fusion.win metric is the char-accuracy margin
 // of fusion over the best single channel on the starve profile — the
 // scenario the channel plane exists for — and CI gates on it staying
 // positive.
 func RunFusion(o Options) (*Result, error) {
-	cfg := DefaultConfig()
-	pm, err := TrainModelChannel(cfg, o.Workers, "")
-	if err != nil {
-		return nil, err
-	}
-	sm, err := TrainModelChannel(cfg, o.Workers, proccount.Name)
-	if err != nil {
-		return nil, err
-	}
-	sch, err := channel.Get(proccount.Name)
-	if err != nil {
-		return nil, err
-	}
-
 	profiles := fault.Profiles()
 	trials := o.Trials(40)
-	textLen := 8
-
-	rng := sim.NewRand(o.Seed)
-	texts := make([]string, trials)
-	for i := range texts {
-		texts[i] = input.RandomText(rng, LowerDigits, textLen)
+	sw := sweep{trials: trials, textLen: 8, fuse: true}
+	for _, p := range profiles {
+		sw.cells = append(sw.cells, sweepCell{fault: p})
 	}
-
-	n := len(profiles) * trials
-	slots := make([]fusionTrial, n)
-	err = parallel.ForEachCtx(o.Context(), o.Workers, n, func(i int) error {
-		pIdx, trial := i/trials, i%trials
-		t, err := fusionOnce(o, cfg, pm, sm, sch, texts[trial], profiles[pIdx],
-			fault.Seed(o.Seed, i), o.Seed+int64(trial)*101)
-		if err != nil {
-			return err
-		}
-		slots[i] = t
-		return nil
-	})
+	slots, err := sw.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -150,8 +41,8 @@ func RunFusion(o Options) (*Result, error) {
 		recovered, flipped := 0, 0
 		for trial := 0; trial < trials; trial++ {
 			t := slots[pIdx*trials+trial]
-			kgsl = append(kgsl, t.kgsl)
-			proc = append(proc, t.proc)
+			kgsl = append(kgsl, resultText(t.kgsl))
+			proc = append(proc, resultText(t.proc))
 			fused = append(fused, t.fused)
 			truth = append(truth, t.truth)
 			recovered += t.recovered

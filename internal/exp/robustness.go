@@ -1,16 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"gpuleak/internal/attack"
 	"gpuleak/internal/fault"
-	"gpuleak/internal/input"
-	"gpuleak/internal/parallel"
-	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/victim"
 )
 
 // ChaosSchema identifies the wire format of a chaos report.
@@ -66,103 +61,13 @@ type ChaosProfileResult struct {
 	Resyncs  int                 `json:"resyncs"`
 }
 
-// chaosTrial is one (profile, trial) outcome.
-type chaosTrial struct {
-	inferred, truth string
-	degraded        bool
-	fatal           bool
-	injected        fault.InjectedStats
-	recovery        attack.CollectStats
-	gaps, resyncs   int
-	baselineOK      bool
-}
-
-// chaosOnce eavesdrops one victim session through a fault plane. For the
-// "none" profile it additionally replays the identical session through
-// the raw device with the legacy no-retry policy and verifies the two
-// results agree — the passthrough byte-identity the golden tests pin.
-func chaosOnce(ctx context.Context, cfg victim.Config, m *attack.Model, text string,
-	p fault.Profile, faultSeed, seed int64) (chaosTrial, error) {
-
-	run := func(wrap bool, retry attack.RetryPolicy) (*attack.Result, *fault.File, error) {
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		script := input.Typing(text, input.Volunteers[0], input.SpeedAny,
-			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond)
-		sess.Run(script)
-		f, err := sess.Open()
-		if err != nil {
-			return nil, nil, err
-		}
-		atk := &attack.Attack{Models: []*attack.Model{m}, Interval: attack.DefaultInterval, Retry: retry}
-		if !wrap {
-			res, err := atk.EavesdropContext(ctx, f, 0, sess.End)
-			return res, nil, err
-		}
-		ff := fault.NewFile(f, p, faultSeed)
-		res, err := atk.EavesdropContext(ctx, ff, 0, sess.End)
-		return res, ff, err
-	}
-
-	out := chaosTrial{baselineOK: true}
-	res, ff, err := run(true, attack.DefaultRetryPolicy())
-	if err != nil {
-		if ctx.Err() != nil {
-			return out, err
-		}
-		// The fault plane beat the retry policy: record the loss, keep the
-		// experiment going — availability failures are a result, not an
-		// experiment error.
-		out.fatal = true
-		out.inferred = ""
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny,
-			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
-		out.truth = sess.TypedText()
-		if ff != nil {
-			out.injected = ff.Stats
-		}
-		return out, nil
-	}
-	out.inferred = res.Text
-	out.degraded = res.Degraded
-	out.recovery = res.Recovery
-	out.gaps = res.Stats.Gaps
-	out.resyncs = res.Stats.Resyncs
-	out.injected = ff.Stats
-	{
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny,
-			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
-		out.truth = sess.TypedText()
-	}
-
-	if p.IsZero() {
-		// Passthrough check: the wrapped run must equal the raw legacy run
-		// in every observable.
-		raw, _, err := run(false, attack.RetryPolicy{})
-		if err != nil {
-			return out, fmt.Errorf("exp: chaos baseline raw run: %w", err)
-		}
-		out.baselineOK = res.Text == raw.Text &&
-			res.Stats == raw.Stats &&
-			len(res.Keys) == len(raw.Keys) &&
-			res.EstimatedLength == raw.EstimatedLength &&
-			!res.Degraded && !raw.Degraded
-	}
-	return out, nil
-}
-
 // RunChaosProfiles eavesdrops trials×len(profiles) sessions and builds
-// the gpuleak-chaos/v1 report. The model is trained (or fetched) once;
-// trials fan out across o.Workers with per-trial seeds derived from
-// (o.Seed, profile index, trial index), so the report is bit-identical
-// at any worker count.
+// the gpuleak-chaos/v1 report. Every profile — named, as the report keys
+// its rows by name — stacks a fault plane on the KGSL probe, and the
+// attacker always runs with the default retry policy. Trials fan out
+// across o.Workers with per-trial seeds derived from (o.Seed, profile
+// index, trial index), so the report is bit-identical at any worker
+// count.
 func RunChaosProfiles(o Options, profiles []fault.Profile, trials, textLen int) (*ChaosReport, error) {
 	if trials < 1 {
 		trials = 1
@@ -170,32 +75,11 @@ func RunChaosProfiles(o Options, profiles []fault.Profile, trials, textLen int) 
 	if textLen < 1 {
 		textLen = 8
 	}
-	cfg := DefaultConfig()
-	m, err := TrainModelWorkers(cfg, o.Workers)
-	if err != nil {
-		return nil, err
+	sw := sweep{trials: trials, textLen: textLen, retry: true, reference: true}
+	for _, p := range profiles {
+		sw.cells = append(sw.cells, sweepCell{fault: p})
 	}
-
-	// Same texts for every profile: trial i types texts[i] under each
-	// profile, so per-profile accuracy is comparable.
-	rng := sim.NewRand(o.Seed)
-	texts := make([]string, trials)
-	for i := range texts {
-		texts[i] = input.RandomText(rng, LowerDigits, textLen)
-	}
-
-	n := len(profiles) * trials
-	slots := make([]chaosTrial, n)
-	err = parallel.ForEachCtx(o.Context(), o.Workers, n, func(i int) error {
-		pIdx, trial := i/trials, i%trials
-		t, err := chaosOnce(o.Context(), cfg, m, texts[trial], profiles[pIdx],
-			fault.Seed(o.Seed, i), o.Seed+int64(trial)*101)
-		if err != nil {
-			return err
-		}
-		slots[i] = t
-		return nil
-	})
+	slots, err := sw.run(o)
 	if err != nil {
 		return nil, err
 	}
@@ -211,22 +95,27 @@ func RunChaosProfiles(o Options, profiles []fault.Profile, trials, textLen int) 
 		levSum := 0
 		for trial := 0; trial < trials; trial++ {
 			t := slots[pIdx*trials+trial]
-			inferred = append(inferred, t.inferred)
+			// A fatal trial — the fault plane beat the retry policy — infers
+			// nothing: availability failures are a result, not an error.
+			got := ""
+			if res := t.kgsl; res == nil {
+				pr.Fatal++
+			} else {
+				got = res.Text
+				if res.Degraded {
+					pr.Degraded++
+				}
+				pr.Recovery.Add(res.Recovery)
+				pr.Gaps += res.Stats.Gaps
+				pr.Resyncs += res.Stats.Resyncs
+			}
+			inferred = append(inferred, got)
 			truth = append(truth, t.truth)
-			levSum += stats.Levenshtein(t.inferred, t.truth)
-			if t.inferred == t.truth {
+			levSum += stats.Levenshtein(got, t.truth)
+			if got == t.truth {
 				pr.Exact++
 			}
-			if t.degraded {
-				pr.Degraded++
-			}
-			if t.fatal {
-				pr.Fatal++
-			}
 			pr.Injected.Add(t.injected)
-			pr.Recovery.Add(t.recovery)
-			pr.Gaps += t.gaps
-			pr.Resyncs += t.resyncs
 			if p.IsZero() {
 				sawNone = true
 				baselineOK = baselineOK && t.baselineOK

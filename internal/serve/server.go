@@ -466,10 +466,8 @@ func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropR
 	sess.Run(scen.Script())
 	endAt = sess.End
 	// A requested defense arms on the session before any probe opens:
-	// device hooks install here, probe wraps apply per channel below, and
-	// the sampler runs with the default retry policy so defense denials
-	// (rate-limit busy errors) degrade the result instead of failing the
-	// request — the same contract the fault plane set.
+	// device hooks install here, and defense.Wrap stacks the per-channel
+	// probe wraps over the (possibly faulted) device below.
 	var inst defense.Instance
 	if scen.Defense != nil {
 		inst, err = scen.Defense.Arm(sess, scen.DefenseStrength, scen.DefenseSeed)
@@ -479,8 +477,7 @@ func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropR
 	}
 	var res *attack.Result
 	var fr *attack.FusionResult
-	switch {
-	case len(scen.Channels) >= 2:
+	if len(scen.Channels) >= 2 {
 		// Multi-channel request: the fusion pipeline collects and infers
 		// per channel, then merges at decision level.
 		fr, err = s.fuseEavesdrop(ctx, scen, req, m, sess, inst, tr)
@@ -488,44 +485,27 @@ func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropR
 			return EavesdropResponse{}, err
 		}
 		res = fr.Fused
-	case scen.Primary() != "":
-		// Single non-default channel: open its probe through the channel
-		// plane and run the same streaming engine under the channel's
-		// cadence and error taxonomy.
-		ch, cerr := channel.Get(scen.Channels[0])
-		if cerr != nil {
-			return EavesdropResponse{}, cerr
-		}
-		probe, perr := ch.Open(sess)
-		if perr != nil {
-			return EavesdropResponse{}, fmt.Errorf("serve: opening channel %q: %w", ch.Name(), perr)
+	} else {
+		// Single channel: the streaming engine over the channel's probe
+		// stack, under the channel's cadence and error taxonomy.
+		ch, st, err := openStack(sess, scen.Primary(), scen.Fault, scen.FaultSeed, inst)
+		if err != nil {
+			return EavesdropResponse{}, err
 		}
 		atk := attack.New(m)
 		atk.Obs = tr
 		atk.Interval = ch.Interval()
 		atk.Errors = ch.Taxonomy()
-		if inst != nil {
-			probe = inst.WrapProbe(ch.Name(), probe)
-			atk.Retry = attack.DefaultRetryPolicy()
-		}
-		res, err = atk.EavesdropStreamContext(ctx, probe, 0, sess.End, emit)
-		if err != nil {
-			return EavesdropResponse{}, err
-		}
-	default:
-		f, ferr := sess.Open()
-		if ferr != nil {
-			return EavesdropResponse{}, fmt.Errorf("serve: opening device file: %w", ferr)
-		}
-		atk := attack.New(m)
-		atk.Obs = tr
-		if s.batcher != nil {
+		atk.Retry = st.Retry
+		if s.batcher != nil && scen.Primary() == "" {
 			// Route per-delta classification through the model shard's
 			// micro-batch queue. Verdicts are unchanged (the batcher's identity
 			// contract); only the dispatch is shared. The trace instant is
 			// emitted here — the request goroutine — never by the dispatcher,
 			// and carries no batch-composition fields, so traces stay
-			// byte-identical however requests happen to coalesce.
+			// byte-identical however requests happen to coalesce. Only the
+			// default KGSL channel batches: other channels' traces carry no
+			// batch instants.
 			atk.Classify = func(m *attack.Model, at sim.Time, v trace.Vec) attack.Verdict {
 				verdict := s.batcher.Classify(shard, m, at, v)
 				if tr.Enabled() {
@@ -535,26 +515,7 @@ func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropR
 				return verdict
 			}
 		}
-		var df attack.DeviceFile = f
-		if scen.Fault.Name != "" {
-			// The request asked for a fault plane: wrap the device and arm
-			// the retry policy, so injected bursts degrade the result
-			// instead of failing the request. Fault-free requests keep the
-			// zero policy and the raw file — their responses stay
-			// byte-identical to the pre-fault-plane wire format.
-			df = fault.NewFile(f, scen.Fault, scen.FaultSeed)
-			atk.Retry = attack.DefaultRetryPolicy()
-		}
-		var probe attack.Probe = df
-		if inst != nil {
-			// The defense filter sits above the ioctl path: a rate-limit
-			// denial happens before any (possibly faulted) device read.
-			// Wrappers forward TickFault, so a fault plane underneath keeps
-			// its clock schedule.
-			probe = inst.WrapProbe(channel.DefaultName, df)
-			atk.Retry = attack.DefaultRetryPolicy()
-		}
-		res, err = atk.EavesdropStreamContext(ctx, probe, 0, sess.End, emit)
+		res, err = atk.EavesdropStreamContext(ctx, st.Probe, 0, sess.End, emit)
 		if err != nil {
 			return EavesdropResponse{}, err
 		}
@@ -594,17 +555,16 @@ func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropR
 }
 
 // fuseEavesdrop runs the two-channel pipeline for a resolved
-// multi-channel request: collect a trace per channel, run the online
-// phase on each, then merge at decision level with attack.Fuse. pm is
-// the primary model (already fetched by runEavesdrop); the secondary
-// model comes from the registry under its own channel key. A requested
-// fault plane wraps the primary probe only — ResolveScenario guarantees
-// the primary is the KGSL channel in that case — with the default retry
-// policy armed, mirroring the single-channel degraded-mode contract. An
-// armed defense instance (inst non-nil) wraps both probes through its
-// per-channel applicability set and likewise arms the retry policy, so
-// a defense covering only one channel leaves the other's read path — and
-// the fused attacker's view of it — untouched.
+// multi-channel request: collect a trace per channel through its probe
+// stack, run the online phase on each, then merge at decision level with
+// attack.Fuse. pm is the primary model (already fetched by
+// runEavesdrop); the secondary model comes from the registry under its
+// own channel key. A requested fault plane stacks on the primary probe
+// only — ResolveScenario guarantees the primary is the KGSL channel in
+// that case — while an armed defense stacks on both through its
+// per-channel applicability set, so a defense covering only one channel
+// leaves the other's read path — and the fused attacker's view of it —
+// untouched.
 func (s *Server) fuseEavesdrop(ctx context.Context, scen Scenario, req EavesdropRequest, pm *attack.Model, sess *victim.Session, inst defense.Instance, tr *obs.Tracer) (*attack.FusionResult, error) {
 	trainCfg := TrainConfig(scen.Cfg)
 	secName := channel.Canonical(scen.Channels[1])
@@ -618,70 +578,64 @@ func (s *Server) fuseEavesdrop(ctx context.Context, scen Scenario, req Eavesdrop
 	if err != nil {
 		return nil, err
 	}
-	pch, err := channel.Get(scen.Channels[0])
+	pch, pst, err := openStack(sess, scen.Channels[0], scen.Fault, scen.FaultSeed, inst)
 	if err != nil {
 		return nil, err
 	}
-	sch, err := channel.Get(scen.Channels[1])
+	ptr, pres, err := collect(ctx, pch, pst, sess.End, pm, tr)
 	if err != nil {
 		return nil, err
 	}
-
-	pprobe, err := pch.Open(sess)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening channel %q: %w", pch.Name(), err)
-	}
-	retry := attack.RetryPolicy{}
-	if scen.Fault.Name != "" {
-		dev, ok := pprobe.(fault.Device)
-		if !ok {
-			return nil, fmt.Errorf("%w: channel %q cannot carry a fault profile", ErrBadRequest, pch.Name())
-		}
-		pprobe = fault.NewFile(dev, scen.Fault, scen.FaultSeed)
-		retry = attack.DefaultRetryPolicy()
-	}
-	if inst != nil {
-		pprobe = inst.WrapProbe(pch.Name(), pprobe)
-		retry = attack.DefaultRetryPolicy()
-	}
-	pa := &attack.Attack{Models: []*attack.Model{pm}, Interval: pch.Interval(),
-		Errors: pch.Taxonomy(), Retry: retry, Obs: tr}
-	ps, err := attack.NewSamplerTaxonomy(pprobe, pch.Interval(), retry, pch.Taxonomy())
+	sch, sst, err := openStack(sess, scen.Channels[1], fault.Profile{}, 0, inst)
 	if err != nil {
 		return nil, err
 	}
-	ptr, err := ps.CollectContext(ctx, 0, sess.End)
-	if err != nil {
-		return nil, err
-	}
-	pres, err := pa.EavesdropTrace(ptr)
-	if err != nil {
-		return nil, err
-	}
-
-	sprobe, err := sch.Open(sess)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening channel %q: %w", sch.Name(), err)
-	}
-	sretry := attack.RetryPolicy{}
-	if inst != nil {
-		sprobe = inst.WrapProbe(sch.Name(), sprobe)
-		sretry = attack.DefaultRetryPolicy()
-	}
-	sa := &attack.Attack{Models: []*attack.Model{sm}, Interval: sch.Interval(), Errors: sch.Taxonomy(), Retry: sretry}
-	ss, err := attack.NewSamplerTaxonomy(sprobe, sch.Interval(), sretry, sch.Taxonomy())
-	if err != nil {
-		return nil, err
-	}
-	str, err := ss.CollectContext(ctx, 0, sess.End)
-	if err != nil {
-		return nil, err
-	}
-	sres, err := sa.EavesdropTrace(str)
+	_, sres, err := collect(ctx, sch, sst, sess.End, sm, nil)
 	if err != nil {
 		return nil, err
 	}
 	return attack.Fuse(pm, ptr.Deltas(), pres, sm, sres, pch.Interval(), attack.FusionOptions{}), nil
+}
+
+// openStack opens the named channel ("" is the default KGSL channel) on
+// the victim session and stacks its read path — fault profile fp, then
+// the armed defense inst — through defense.Wrap. A fault profile on a
+// channel that cannot carry one is a bad request.
+func openStack(sess *victim.Session, name string, fp fault.Profile, faultSeed int64, inst defense.Instance) (channel.Channel, defense.Stack, error) {
+	ch, err := channel.Get(name)
+	if err != nil {
+		return nil, defense.Stack{}, err
+	}
+	probe, err := ch.Open(sess)
+	if err != nil {
+		return nil, defense.Stack{}, fmt.Errorf("serve: opening channel %q: %w", ch.Name(), err)
+	}
+	st, err := defense.Wrap(ch.Name(), probe, fp, faultSeed, inst)
+	if err != nil {
+		return nil, defense.Stack{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return ch, st, nil
+}
+
+// collect samples one channel of a fused run over [0, end] through its
+// probe stack and runs the online phase over the trace; tr, when
+// non-nil, observes the inference.
+func collect(ctx context.Context, ch channel.Channel, st defense.Stack, end sim.Time, m *attack.Model, tr *obs.Tracer) (*trace.Trace, *attack.Result, error) {
+	smp, err := attack.NewSamplerTaxonomy(st.Probe, ch.Interval(), st.Retry, ch.Taxonomy())
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := smp.CollectContext(ctx, 0, end)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := &attack.Attack{Models: []*attack.Model{m}, Interval: ch.Interval(),
+		Errors: ch.Taxonomy(), Retry: st.Retry, Obs: tr}
+	res, err := a.EavesdropTrace(t)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, res, nil
 }
 
 // handleTrain serves POST /v1/train: warm the registry for a

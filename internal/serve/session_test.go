@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -116,6 +117,10 @@ func TestSessionSingleUse(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		resp := doReq(t, http.MethodGet, ts.URL+sr.Stream)
+		// Drain to EOF: the handler retires the session only after the
+		// stream ends, so reporting before the body is consumed would race
+		// the third attach against a still-live (409) session.
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // only the stream's end matters
 		resp.Body.Close()
 		done <- resp.StatusCode
 	}()
