@@ -20,7 +20,9 @@
 #   5. go test    — full test suite under the race detector
 #   6. telemetry  — seeded attackd run with -telemetry; the stream must
 #                   parse and be non-empty (traceview validates), and it
-#                   must convert to a Chrome trace file
+#                   must convert to a Chrome trace file; then a faulty
+#                   attackd run archiving its trace with -trace must still
+#                   report the sampler's recovery work (degraded=true)
 #   7. gpuleakd   — serving smoke: start the daemon on an ephemeral port,
 #                   loadgen -smoke checks /healthz and one /v1/eavesdrop
 #                   round-trip, then SIGTERM must drain to a clean exit 0
@@ -149,6 +151,16 @@ go run ./cmd/attackd -seed 7 -text hunter2 \
 go run ./cmd/traceview -telemetry "$telemetry_dir/telemetry.jsonl" \
     -telemetry-chrome "$telemetry_dir/telemetry.trace.json"
 test -s "$telemetry_dir/telemetry.trace.json"
+# Archiving the raw counter trace must not lose the sampler's recovery
+# accounting: the moderate profile injects faults the retry policy
+# recovers, so the run must report itself degraded.
+go run ./cmd/attackd -seed 7 -text hunter2 -faults moderate \
+    -trace "$telemetry_dir/trace.csv" >"$telemetry_dir/attackd.out" 2>&1
+if ! grep -q 'recovery .*(degraded=true)' "$telemetry_dir/attackd.out"; then
+    echo "telemetry smoke: attackd -trace lost the sampler's recovery accounting" >&2
+    cat "$telemetry_dir/attackd.out" >&2
+    exit 1
+fi
 
 echo "==> gpuleakd smoke"
 # The serving layer must come up, answer /healthz and one end-to-end

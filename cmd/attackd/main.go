@@ -179,6 +179,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("eavesdropping failed: %v", err)
 		}
+		res.Recovery = smp.Stats
+		res.Degraded = res.Degraded || smp.Stats.Degraded()
 	} else {
 		res, err = atk.Eavesdrop(df, 0, sess.End)
 		if err != nil {

@@ -10,62 +10,6 @@ import (
 	"gpuleak/internal/victim"
 )
 
-func TestStreamMatchesBatch(t *testing.T) {
-	cfg := baseVictimConfig()
-	cfg.Seed = 808
-	m := sharedModel(t)
-	sess := victim.New(cfg)
-	sess.Run(input.Typing("streamed42", input.Volunteers[0], input.SpeedAny,
-		sim.NewRand(3), 700*sim.Millisecond))
-	f, err := sess.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	smp, err := NewSampler(f, DefaultInterval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := smp.Collect(0, sess.End)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batch, err := New(m).EavesdropTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var live []rune
-	st := NewStream(m, DefaultInterval, OnlineOptions{}, func(k InferredKey) {
-		live = append(live, k.R)
-	})
-	for _, sample := range tr.Samples {
-		st.Push(sample.At, sample.Values)
-	}
-
-	if st.Text() != batch.Text {
-		t.Fatalf("stream %q != batch %q", st.Text(), batch.Text)
-	}
-	if string(live) != batch.Text {
-		t.Fatalf("callback stream %q != batch %q", string(live), batch.Text)
-	}
-	if st.Stats() != batch.Stats {
-		t.Fatalf("stream stats %+v != batch %+v", st.Stats(), batch.Stats)
-	}
-}
-
-func TestStreamIgnoresFlatReadings(t *testing.T) {
-	m := tinyModel()
-	st := NewStream(m, 8*sim.Millisecond, OnlineOptions{}, nil)
-	vals := [11]uint64{100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100}
-	for i := 0; i < 10; i++ {
-		st.Push(sim.Time(i)*8000, vals)
-	}
-	if st.Stats().Deltas != 0 {
-		t.Fatalf("flat readings produced %d deltas", st.Stats().Deltas)
-	}
-}
-
 // TestEavesdropStreamMatchesOneShot pins the streaming API's identity
 // contract: EavesdropStreamContext over a device file produces the exact
 // Result of EavesdropContext, and replaying its key/retract events

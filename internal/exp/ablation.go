@@ -6,6 +6,7 @@ import (
 	"gpuleak/internal/android"
 	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
+	"gpuleak/internal/obs"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
 	"gpuleak/internal/victim"
@@ -20,10 +21,6 @@ func RunAblationDedup(o Options) (*Result, error) {
 		"Ti", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
-	if err != nil {
-		return nil, err
-	}
 	per := o.Trials(120)
 	type cfgT struct {
 		label string
@@ -35,14 +32,19 @@ func RunAblationDedup(o Options) (*Result, error) {
 		{"75ms (paper)", attack.OnlineOptions{}},
 		{"150ms", attack.OnlineOptions{DedupWindow: 150 * sim.Millisecond}},
 	}
+	// Fast typists stress the window the most.
+	g := grid{trials: per}
 	for ci, c := range cases {
-		// Fast typists stress the window the most.
-		b, err := RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[3], input.SpeedFast, attack.DefaultInterval,
-			c.opts, o.Seed+int64(ci)*81799)
-		if err != nil {
-			return nil, err
-		}
+		ty := batch(o.Seed+int64(ci)*81799, input.Volunteers[3])
+		ty.speed = input.SpeedFast
+		g.cells = append(g.cells, cell{cfg: cfg, opts: c.opts, trial: ty.derive()})
+	}
+	batches, err := runBatches(o, g)
+	if err != nil {
+		return nil, err
+	}
+	for ci, c := range cases {
+		b := batches[ci]
 		res.Table.AddRow(c.label, stats.Pct(b.TextAccuracy()), stats.Pct(b.CharAccuracy()))
 		res.Metrics["text_"+c.label] = b.TextAccuracy()
 	}
@@ -55,18 +57,20 @@ func RunAblationSplit(o Options) (*Result, error) {
 		"combining", "text acc", "char acc", "splits recovered")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	per := o.Trials(120)
+	arms := []bool{false, true}
+	g := grid{trials: per}
+	for ci, disabled := range arms {
+		g.cells = append(g.cells, cell{cfg: cfg,
+			opts:  attack.OnlineOptions{DisableSplitCombine: disabled},
+			trial: batch(o.Seed+int64(ci)*91493, input.Volunteers[0]).derive()})
+	}
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}
-	per := o.Trials(120)
-	for ci, disabled := range []bool{false, true} {
-		b, err := RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[0], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{DisableSplitCombine: disabled}, o.Seed+int64(ci)*91493)
-		if err != nil {
-			return nil, err
-		}
+	for ci, disabled := range arms {
+		b := batches[ci]
 		label := "on"
 		if disabled {
 			label = "off"
@@ -92,15 +96,20 @@ func RunAblationThreshold(o Options) (*Result, error) {
 		return nil, err
 	}
 	per := o.Trials(120)
-	for si, scale := range []float64{0.1, 0.5, 1.0, 3.0, 10.0} {
+	scales := []float64{0.1, 0.5, 1.0, 3.0, 10.0}
+	g := grid{trials: per}
+	for si, scale := range scales {
 		m := base.Clone()
 		m.Cth = base.Cth * scale
-		b, err := RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[1], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(si)*10007)
-		if err != nil {
-			return nil, err
-		}
+		g.cells = append(g.cells, cell{cfg: cfg, model: m,
+			trial: batch(o.Seed+int64(si)*10007, input.Volunteers[1]).derive()})
+	}
+	batches, err := runBatches(o, g)
+	if err != nil {
+		return nil, err
+	}
+	for si, scale := range scales {
+		b := batches[si]
 		label := fmt.Sprintf("%.1fx", scale)
 		res.Table.AddRow(label, stats.Pct(b.TextAccuracy()), stats.Pct(b.CharAccuracy()))
 		res.Metrics["text_"+label] = b.TextAccuracy()
@@ -130,6 +139,7 @@ func RunAblationCounterSet(o Options) (*Result, error) {
 		{"VPC only", []int{8, 9, 10}},
 		{"all 11", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
 	}
+	g := grid{trials: per}
 	for mi, msk := range masks {
 		m := base.Clone()
 		w := base.Weights
@@ -146,12 +156,15 @@ func RunAblationCounterSet(o Options) (*Result, error) {
 			}
 		}
 		m.Weights = w
-		b, err := RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[2], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(mi)*11003)
-		if err != nil {
-			return nil, err
-		}
+		g.cells = append(g.cells, cell{cfg: cfg, model: m,
+			trial: batch(o.Seed+int64(mi)*11003, input.Volunteers[2]).derive()})
+	}
+	batches, err := runBatches(o, g)
+	if err != nil {
+		return nil, err
+	}
+	for mi, msk := range masks {
+		b := batches[mi]
 		res.Table.AddRow(msk.label, stats.Pct(b.TextAccuracy()), stats.Pct(b.CharAccuracy()))
 		res.Metrics["char_"+msk.label] = b.CharAccuracy()
 	}
@@ -165,35 +178,30 @@ func RunAblationCorrections(o Options) (*Result, error) {
 		"corrections", "trace acc", "char acc")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
-	if err != nil {
-		return nil, err
-	}
 	per := o.Trials(60)
 	opts := input.DefaultPracticalOptions()
 	opts.SwitchProb = 0 // isolate corrections
 	opts.NotifViewProb = 0
 	opts.BackspaceProb = 0.15
 
-	for ci, disabled := range []bool{false, true} {
-		inferred := make([]string, 0, per)
-		truths := make([]string, 0, per)
-		for si := 0; si < per; si++ {
-			// Paired comparison: both arms replay identical sessions.
-			seed := o.Seed + int64(si)*517
-			_ = ci
-			rng := sim.NewRand(seed)
-			text := input.RandomText(rng, LowerDigits, 10)
-			c := cfg
-			c.Seed = seed
-			inf, truth, err := eavesdropScript(c, m,
-				input.Practical(text, input.Volunteers[si%5], opts, rng, 700*sim.Millisecond),
-				attack.OnlineOptions{DisableCorrections: disabled})
-			if err != nil {
-				return nil, err
-			}
-			inferred = append(inferred, inf)
-			truths = append(truths, truth)
+	// Paired comparison: both arms replay identical sessions.
+	arms := []bool{false, true}
+	g := grid{trials: per}
+	for _, disabled := range arms {
+		g.cells = append(g.cells, cell{cfg: cfg,
+			opts: attack.OnlineOptions{DisableCorrections: disabled},
+			trial: typing{seed: o.Seed, stride: 517, alphabet: LowerDigits, length: 10,
+				vols: input.Volunteers, practical: &opts}.derive()})
+	}
+	out, err := runEavesdrop(o, g)
+	if err != nil {
+		return nil, err
+	}
+	for ci, disabled := range arms {
+		var inferred, truths []string
+		for _, e := range out[ci*per : (ci+1)*per] {
+			inferred = append(inferred, e.res.Text)
+			truths = append(truths, e.truth)
 		}
 		label := "on"
 		if disabled {
@@ -206,21 +214,6 @@ func RunAblationCorrections(o Options) (*Result, error) {
 	return res, nil
 }
 
-func eavesdropScript(cfg victim.Config, m *attack.Model, script input.Script, opts attack.OnlineOptions) (string, string, error) {
-	sess := victim.New(cfg)
-	sess.Run(script)
-	f, err := sess.Open()
-	if err != nil {
-		return "", "", err
-	}
-	atk := &attack.Attack{Models: []*attack.Model{m}, Interval: attack.DefaultInterval, Options: opts}
-	r, err := atk.Eavesdrop(f, 0, sess.End)
-	if err != nil {
-		return "", "", err
-	}
-	return r.Text, sess.TypedText(), nil
-}
-
 // RunAblationGreedyVsOffline quantifies the §5.1 accuracy/timeliness
 // tradeoff: the streaming (greedy) engine infers keys in real time but
 // can pair fragments wrongly; whole-trace segmentation waits until the
@@ -231,58 +224,53 @@ func RunAblationGreedyVsOffline(o Options) (*Result, error) {
 
 	cfg := DefaultConfig()
 	// Stress splits: a slower GPU fragments more frames.
-	cfg.Device = androidLGV30()
-	m, err := TrainModel(cfg)
+	cfg.Device = android.LGV30
+	per := o.Trials(150)
+
+	type pair struct{ truth, online, offline string }
+	g := grid{trials: per, cells: []cell{{cfg: cfg,
+		trial: typing{textSeed: o.Seed + 777, seed: o.Seed, stride: 919, xor: 0x77,
+			alphabet: LowerDigits, length: 10, vols: input.Volunteers}.derive()}}}
+	out, err := runGrid(o, g, func(_ int, c *cell, sess *victim.Session, tr *obs.Tracer) (pair, error) {
+		f, err := sess.Open()
+		if err != nil {
+			return pair{}, err
+		}
+		smp, err := attack.NewSampler(f, attack.DefaultInterval)
+		if err != nil {
+			return pair{}, err
+		}
+		smp.Obs = tr
+		t, err := smp.CollectContext(o.Context(), 0, sess.End)
+		if err != nil {
+			return pair{}, err
+		}
+		atk := attack.New(c.model)
+		atk.Obs = tr
+		online, err := atk.EavesdropTrace(t)
+		if err != nil {
+			return pair{}, err
+		}
+		offline, err := atk.EavesdropTraceOffline(t)
+		if err != nil {
+			return pair{}, err
+		}
+		return pair{sess.TypedText(), online.Text, offline.Text}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	per := o.Trials(150)
-
-	var onI, onT, offI, offT []string
-	rng := sim.NewRand(o.Seed + 777)
-	for si := 0; si < per; si++ {
-		text := input.RandomText(rng, LowerDigits, 10)
-		seed := o.Seed + int64(si)*919
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[si%5], input.SpeedAny,
-			sim.NewRand(seed^0x77), 700*sim.Millisecond))
-		f, err := sess.Open()
-		if err != nil {
-			return nil, err
-		}
-		atk := attack.New(m)
-		smp, err := attack.NewSampler(f, attack.DefaultInterval)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := smp.Collect(0, sess.End)
-		if err != nil {
-			return nil, err
-		}
-		online, err := atk.EavesdropTrace(tr)
-		if err != nil {
-			return nil, err
-		}
-		offline, err := atk.EavesdropTraceOffline(tr)
-		if err != nil {
-			return nil, err
-		}
-		truth := sess.TypedText()
-		onI, onT = append(onI, online.Text), append(onT, truth)
-		offI, offT = append(offI, offline.Text), append(offT, truth)
+	var onI, offI, truth []string
+	for _, p := range out {
+		onI, offI, truth = append(onI, p.online), append(offI, p.offline), append(truth, p.truth)
 	}
-	res.Table.AddRow("greedy (online)", stats.Pct(stats.TextAccuracy(onI, onT)),
-		stats.Pct(stats.CharAccuracy(onI, onT)), "real-time")
-	res.Table.AddRow("whole-trace (offline)", stats.Pct(stats.TextAccuracy(offI, offT)),
-		stats.Pct(stats.CharAccuracy(offI, offT)), "after input ends")
-	res.Metrics["text_online"] = stats.TextAccuracy(onI, onT)
-	res.Metrics["text_offline"] = stats.TextAccuracy(offI, offT)
-	res.Metrics["char_online"] = stats.CharAccuracy(onI, onT)
-	res.Metrics["char_offline"] = stats.CharAccuracy(offI, offT)
+	res.Table.AddRow("greedy (online)", stats.Pct(stats.TextAccuracy(onI, truth)),
+		stats.Pct(stats.CharAccuracy(onI, truth)), "real-time")
+	res.Table.AddRow("whole-trace (offline)", stats.Pct(stats.TextAccuracy(offI, truth)),
+		stats.Pct(stats.CharAccuracy(offI, truth)), "after input ends")
+	res.Metrics["text_online"] = stats.TextAccuracy(onI, truth)
+	res.Metrics["text_offline"] = stats.TextAccuracy(offI, truth)
+	res.Metrics["char_online"] = stats.CharAccuracy(onI, truth)
+	res.Metrics["char_offline"] = stats.CharAccuracy(offI, truth)
 	return res, nil
 }
-
-// androidLGV30 avoids an import cycle nuisance in this file's header.
-func androidLGV30() android.DeviceModel { return android.LGV30 }

@@ -103,11 +103,11 @@ func RunArmsTournament(o Options, names []string, strengths []float64, trials, t
 	// cell replays the same sessions as the baseline. The attacker runs
 	// at full power everywhere — retry policy armed even on the baseline
 	// — and a blocked KGSL channel degrades to proccount.
-	sw := sweep{cells: []sweepCell{{}}, trials: trials, textLen: textLen,
+	sw := sweep{cells: []cell{{}}, trials: trials, textLen: textLen,
 		fuse: true, retry: true, fallback: true, track: "arms"}
 	for _, pol := range pols {
 		for _, s := range strengths {
-			sw.cells = append(sw.cells, sweepCell{defense: pol, strength: s})
+			sw.cells = append(sw.cells, cell{defense: pol, strength: s})
 		}
 	}
 	slots, err := sw.run(o)

@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
-	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
+	"gpuleak/internal/obs"
 )
 
 // quick runs an experiment at CI scale and logs its table.
@@ -336,22 +340,49 @@ func TestSec9DefenseMatrix(t *testing.T) {
 	}
 }
 
+// TestExperimentsDeterministic pins the grid harness's contract: an
+// experiment's metrics and its exported telemetry stream are functions of
+// the seed alone — a four-worker run, whatever order its sessions happen
+// to run in, reproduces a serial run bit for bit.
 func TestExperimentsDeterministic(t *testing.T) {
-	// Identical options must reproduce identical metrics bit-for-bit.
-	for _, id := range []string{"fig5", "fig11", "table2"} {
+	run := func(id string, workers int) (map[string]float64, []byte) {
+		t.Helper()
 		e, _ := ByID(id)
-		a, err := e.Run(Options{Quick: true, Seed: 99})
+		tr := obs.New()
+		r, err := e.Run(Options{Quick: true, Seed: 99, Workers: workers, Obs: tr})
 		if err != nil {
+			t.Fatalf("%s (workers=%d): %v", id, workers, err)
+		}
+		var buf bytes.Buffer
+		if err := obs.WriteJSONL(&buf, tr.Events()); err != nil {
 			t.Fatal(err)
 		}
-		b, err := e.Run(Options{Quick: true, Seed: 99})
-		if err != nil {
-			t.Fatal(err)
+		return r.Metrics, buf.Bytes()
+	}
+	for _, id := range []string{"fig5", "table2", "fig11", "fig19", "guessing", "sec9", "arms"} {
+		serialM, serialT := run(id, 1)
+		m, tel := run(id, 4)
+		if !reflect.DeepEqual(m, serialM) {
+			t.Errorf("%s: metrics at workers=4 differ from a serial run:\n%v\nvs\n%v", id, m, serialM)
 		}
-		for k, v := range a.Metrics {
-			if b.Metrics[k] != v {
-				t.Errorf("%s: metric %s differs across identical runs: %v vs %v", id, k, v, b.Metrics[k])
-			}
+		if !bytes.Equal(tel, serialT) {
+			t.Errorf("%s: telemetry stream at workers=4 differs from a serial run (%d vs %d bytes)",
+				id, len(tel), len(serialT))
+		}
+	}
+}
+
+// TestSessionExperimentsHonourCancellation: an experiment whose context
+// is already canceled returns the context's error rather than a result —
+// the served /v1/experiment timeout depends on it.
+func TestSessionExperimentsHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range []string{"fig11", "fig18", "guessing", "sec9", "fig28",
+		"ablation-corrections", "ablation-greedy"} {
+		res, err := Run(id, Options{Quick: true, Seed: 99, Ctx: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: canceled run returned (%v, %v), want context.Canceled", id, res != nil, err)
 		}
 	}
 }
@@ -397,26 +428,32 @@ func TestFig27Shape(t *testing.T) {
 	}
 }
 
+// TestRunBatchParallelDeterminism: the grid harness assigns sessions by
+// index, so a batch's inferred texts, ground truth and aggregate engine
+// stats are identical whether its trials run serially or over a pool.
 func TestRunBatchParallelDeterminism(t *testing.T) {
-	// The worker pool assigns sessions by index; results must be
-	// identical across runs regardless of scheduling.
 	cfg := DefaultConfig()
 	m, err := TrainModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *BatchResult {
-		b, err := RunBatch(Options{}, cfg, m, LowerDigits, 8, 12, input.Volunteers[0],
-			input.SpeedAny, attack.DefaultInterval, attack.OnlineOptions{}, 777)
+	run := func(workers int) *BatchResult {
+		ty := batch(777, input.Volunteers[0])
+		ty.length = 8
+		g := grid{trials: 12, cells: []cell{{cfg: cfg, model: m, trial: ty.derive()}}}
+		bs, err := runBatches(Options{Workers: workers}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return bs[0]
 	}
-	a, b := run(), run()
+	a, b := run(1), run(4)
+	if len(a.Inferred) != 12 || len(b.Inferred) != 12 {
+		t.Fatalf("batch sizes %d, %d, want 12", len(a.Inferred), len(b.Inferred))
+	}
 	for i := range a.Inferred {
 		if a.Inferred[i] != b.Inferred[i] || a.Truth[i] != b.Truth[i] {
-			t.Fatalf("batch slot %d differs across runs", i)
+			t.Fatalf("batch slot %d differs across worker counts", i)
 		}
 	}
 	if a.Stats != b.Stats {
@@ -433,12 +470,18 @@ func TestCalibrationRobustAcrossSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range []int64{101, 987654, 31337} {
-		b, err := RunBatch(Options{}, cfg, m, LowerDigits, 10, 20, input.Volunteers[int(seed)%5],
-			input.SpeedAny, attack.DefaultInterval, attack.OnlineOptions{}, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+	seeds := []int64{101, 987654, 31337}
+	g := grid{trials: 20}
+	for _, seed := range seeds {
+		g.cells = append(g.cells, cell{cfg: cfg, model: m,
+			trial: batch(seed, input.Volunteers[int(seed)%5]).derive()})
+	}
+	batches, err := runBatches(Options{}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range seeds {
+		b := batches[i]
 		if ca := b.CharAccuracy(); ca < 0.93 {
 			t.Errorf("seed %d: char accuracy %v below regime", seed, ca)
 		}

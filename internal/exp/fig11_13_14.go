@@ -20,29 +20,24 @@ func RunFig11(o Options) (*Result, error) {
 	res := newResult("fig11", "Figure 11 / §5.1: system factors over many key presses",
 		"presses", "duplication", "split", "noise-affected", "affected%")
 
-	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	// Every lowercase+digit text registers all its presses, so the census
+	// types ceil(target/perText) texts.
+	target := o.Trials(3485)
+	const perText = 20
+	g := grid{trials: (target + perText - 1) / perText, cells: []cell{{cfg: DefaultConfig(),
+		trial: typing{textSeed: o.Seed + 11, seed: o.Seed, stride: 977, xor: 0x5DEECE66D,
+			alphabet: LowerDigits, length: perText, vols: input.Volunteers}.derive()}}}
+	out, err := runEavesdrop(o, g)
 	if err != nil {
 		return nil, err
 	}
-	target := o.Trials(3485)
-	perText := 20
 	var presses, dups, splits int
-	var texts int
-	rng := sim.NewRand(o.Seed + 11)
 	var agg attack.EngineStats
-	for presses < target {
-		text := input.RandomText(rng, LowerDigits, perText)
-		_, truth, st, err := EavesdropOnce(cfg, m, text, input.Volunteers[texts%5], input.SpeedAny,
-			attack.DefaultInterval, attack.OnlineOptions{}, o.Seed+int64(texts)*977)
-		if err != nil {
-			return nil, err
-		}
-		presses += len([]rune(truth))
-		dups += st.Duplicates
-		splits += st.Splits
-		accumulate(&agg, st)
-		texts++
+	for _, e := range out {
+		presses += len([]rune(e.truth))
+		dups += e.res.Stats.Duplicates
+		splits += e.res.Stats.Splits
+		accumulate(&agg, e.res.Stats)
 	}
 	noise := agg.Residual() // §5.1 system noise: changes never explained
 	affected := float64(dups+splits+noise) / float64(presses)

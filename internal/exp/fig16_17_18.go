@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
@@ -52,25 +51,26 @@ func RunFig17(o Options) (*Result, error) {
 		"length", "text acc", "char acc", "mean errors")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
-	if err != nil {
-		return nil, err
-	}
 	perLength := o.Trials(300)
 	lengths := []int{8, 9, 10, 11, 12, 13, 14, 15, 16}
 	if o.Quick {
 		lengths = []int{8, 12, 16}
 	}
 
+	g := grid{trials: perLength}
+	for li, L := range lengths {
+		ty := batch(o.Seed+int64(L)*7919, input.Volunteers[li%5])
+		ty.alphabet, ty.length = CredAlphabet, L
+		g.cells = append(g.cells, cell{cfg: cfg, trial: ty.derive()})
+	}
+	batches, err := runBatches(o, g)
+	if err != nil {
+		return nil, err
+	}
 	all := &BatchResult{}
 	var textAccs []float64
 	for li, L := range lengths {
-		b, err := RunBatch(o, cfg, m, CredAlphabet, L, perLength,
-			input.Volunteers[li%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(L)*7919)
-		if err != nil {
-			return nil, err
-		}
+		b := batches[li]
 		ta, ca, me := b.TextAccuracy(), b.CharAccuracy(), b.MeanErrors()
 		res.Table.AddRow(fmt.Sprintf("%d", L), stats.Pct(ta), stats.Pct(ca), stats.Fmt(me))
 		res.Metrics[fmt.Sprintf("text_acc_len%d", L)] = ta
@@ -103,40 +103,46 @@ func RunFig18(o Options) (*Result, error) {
 		"key", "accuracy", "trials")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
-	if err != nil {
-		return nil, err
-	}
 	repeats := o.Trials(50)
 	charset := []rune("abcdefghijklmnopqrstuvwxyz1234567890,." +
 		"ABCDEFGHIJKLMNOPQRSTUVWXYZ" + `@#$&-+()/*"':;!?`)
 
-	conf := stats.NewConfusion()
+	// Type keys in shuffled blocks so every key sees varied context, split
+	// into sessions of 24 presses.
+	type chunk struct {
+		text string
+		seed int64
+		vol  input.Volunteer
+	}
+	var chunks []chunk
 	rng := sim.NewRand(o.Seed + 18)
-	// Type keys in shuffled blocks so every key sees varied context.
 	for rep := 0; rep < repeats; rep += 8 {
 		perm := rng.Perm(len(charset))
 		var text []rune
 		for _, idx := range perm {
-			for k := 0; k < min2(8, repeats-rep); k++ {
+			for k := 0; k < min(8, repeats-rep); k++ {
 				text = append(text, charset[idx])
 			}
 		}
-		// Split into sessions of 24 presses.
 		for start := 0; start < len(text); start += 24 {
-			end := start + 24
-			if end > len(text) {
-				end = len(text)
-			}
-			chunk := string(text[start:end])
-			inf, truth, _, err := EavesdropOnce(cfg, m, chunk, input.Volunteers[start%5],
-				input.SpeedAny, attack.DefaultInterval, attack.OnlineOptions{},
-				o.Seed+int64(rep)*131071+int64(start))
-			if err != nil {
-				return nil, err
-			}
-			scoreConfusion(conf, inf, truth)
+			end := min(start+24, len(text))
+			chunks = append(chunks, chunk{string(text[start:end]),
+				o.Seed + int64(rep)*131071 + int64(start), input.Volunteers[start%5]})
 		}
+	}
+	g := grid{trials: len(chunks), cells: []cell{{cfg: cfg,
+		trial: func(t int) (int64, input.Script) {
+			ch := chunks[t]
+			return ch.seed, input.Typing(ch.text, ch.vol, input.SpeedAny,
+				sim.NewRand(ch.seed^0x5DEECE66D), 700*sim.Millisecond)
+		}}}}
+	out, err := runEavesdrop(o, g)
+	if err != nil {
+		return nil, err
+	}
+	conf := stats.NewConfusion()
+	for _, e := range out {
+		scoreConfusion(conf, e.res.Text, e.truth)
 	}
 
 	var worst float64 = 1
@@ -193,11 +199,4 @@ func scoreConfusion(conf *stats.Confusion, inferred, truth string) {
 			j++
 		}
 	}
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,10 +2,8 @@ package exp
 
 import (
 	"gpuleak/internal/android"
-	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
 	"gpuleak/internal/keyboard"
-	"gpuleak/internal/parallel"
 	"gpuleak/internal/stats"
 )
 
@@ -16,20 +14,14 @@ func RunFig19(o Options) (*Result, error) {
 	res := newResult("fig19", "Figure 19: inference accuracy on different target apps",
 		"app", "text acc", "char acc")
 
-	perApp := o.Trials(100)
-	// The nine apps are independent configurations; run them through the
-	// pool and assemble rows in app order afterwards.
-	batches, err := parallel.Map(o.Workers, len(android.TargetApps), func(ai int) (*BatchResult, error) {
+	g := grid{trials: o.Trials(100)}
+	for ai, app := range android.TargetApps {
 		cfg := DefaultConfig()
-		cfg.App = android.TargetApps[ai]
-		m, err := TrainModelWorkers(cfg, o.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return RunBatch(o, cfg, m, LowerDigits, 10, perApp,
-			input.Volunteers[ai%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(ai)*19391)
-	})
+		cfg.App = app
+		g.cells = append(g.cells, cell{cfg: cfg,
+			trial: batch(o.Seed+int64(ai)*19391, input.Volunteers[ai%5]).derive()})
+	}
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}
@@ -54,18 +46,14 @@ func RunFig20(o Options) (*Result, error) {
 	res := newResult("fig20", "Figure 20: inference accuracy on different keyboards",
 		"keyboard", "text acc", "char acc")
 
-	perKb := o.Trials(100)
-	batches, err := parallel.Map(o.Workers, len(keyboard.All), func(ki int) (*BatchResult, error) {
+	g := grid{trials: o.Trials(100)}
+	for ki, kb := range keyboard.All {
 		cfg := DefaultConfig()
-		cfg.Keyboard = keyboard.All[ki]
-		m, err := TrainModelWorkers(cfg, o.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return RunBatch(o, cfg, m, LowerDigits, 10, perKb,
-			input.Volunteers[ki%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(ki)*26407)
-	})
+		cfg.Keyboard = kb
+		g.cells = append(g.cells, cell{cfg: cfg,
+			trial: batch(o.Seed+int64(ki)*26407, input.Volunteers[ki%5]).derive()})
+	}
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}
@@ -94,20 +82,16 @@ func RunFig21(o Options) (*Result, error) {
 	res := newResult("fig21", "Figure 21: impact of user input speed",
 		"speed", "text acc", "char acc", "mean errors")
 
-	cfg := DefaultConfig()
 	// Speed sensitivity comes from noise accumulating over the longer
 	// trace; keep the default notification rate.
-	m, err := TrainModelWorkers(cfg, o.Workers)
-	if err != nil {
-		return nil, err
-	}
-	per := o.Trials(300)
 	speeds := []input.Speed{input.SpeedSlow, input.SpeedMedium, input.SpeedFast}
-	batches, err := parallel.Map(o.Workers, len(speeds), func(si int) (*BatchResult, error) {
-		return RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[si%5], speeds[si], attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(si)*31357)
-	})
+	g := grid{trials: o.Trials(300)}
+	for si, sp := range speeds {
+		ty := batch(o.Seed+int64(si)*31357, input.Volunteers[si%5])
+		ty.speed = sp
+		g.cells = append(g.cells, cell{cfg: DefaultConfig(), trial: ty.derive()})
+	}
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"gpuleak/internal/attack"
 	"gpuleak/internal/geom"
 	"gpuleak/internal/input"
-	"gpuleak/internal/parallel"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
 	"gpuleak/internal/victim"
@@ -20,50 +19,39 @@ func RunFig22(o Options) (*Result, error) {
 	res := newResult("fig22", "Figure 22: impact of concurrent CPU/GPU workloads",
 		"load", "level", "text acc", "char acc")
 
-	cfg := DefaultConfig()
-	m, err := TrainModelWorkers(cfg, o.Workers)
-	if err != nil {
-		return nil, err
-	}
 	per := o.Trials(150)
 	levels := []float64{0, 0.25, 0.50, 0.75}
 
-	// Flatten the (kind, level) grid into one task list; seeds depend on
-	// the level index and kind exactly as the serial loops used.
-	type cell struct {
-		kind string
-		li   int
-		set  func(*victim.Config, float64)
-	}
-	var cells []cell
-	for _, k := range []struct {
+	// One cell per (kind, level); seeds depend on the level index and
+	// kind.
+	kinds := []struct {
 		kind string
 		set  func(*victim.Config, float64)
 	}{
 		{"cpu", func(c *victim.Config, lv float64) { c.CPULoad = lv }},
 		{"gpu", func(c *victim.Config, lv float64) { c.GPULoad = lv }},
-	} {
-		for li := range levels {
-			cells = append(cells, cell{kind: k.kind, li: li, set: k.set})
+	}
+	g := grid{trials: per}
+	for _, k := range kinds {
+		for li, lv := range levels {
+			c := DefaultConfig()
+			k.set(&c, lv)
+			g.cells = append(g.cells, cell{cfg: c,
+				trial: batch(o.Seed+int64(li)*41231+hash32(k.kind), input.Volunteers[li%5]).derive()})
 		}
 	}
-	batches, err := parallel.Map(o.Workers, len(cells), func(i int) (*BatchResult, error) {
-		cl := cells[i]
-		c := cfg
-		cl.set(&c, levels[cl.li])
-		return RunBatch(o, c, m, LowerDigits, 10, per,
-			input.Volunteers[cl.li%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(cl.li)*41231+hash32(cl.kind))
-	})
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}
-	for i, cl := range cells {
-		lv := levels[cl.li]
-		ta, ca := batches[i].TextAccuracy(), batches[i].CharAccuracy()
-		res.Table.AddRow(cl.kind, fmt.Sprintf("%.0f%%", lv*100), stats.Pct(ta), stats.Pct(ca))
-		res.Metrics[fmt.Sprintf("%s_%.0f_text", cl.kind, lv*100)] = ta
-		res.Metrics[fmt.Sprintf("%s_%.0f_char", cl.kind, lv*100)] = ca
+	for ki, k := range kinds {
+		for li, lv := range levels {
+			b := batches[ki*len(levels)+li]
+			ta, ca := b.TextAccuracy(), b.CharAccuracy()
+			res.Table.AddRow(k.kind, fmt.Sprintf("%.0f%%", lv*100), stats.Pct(ta), stats.Pct(ca))
+			res.Metrics[fmt.Sprintf("%s_%.0f_text", k.kind, lv*100)] = ta
+			res.Metrics[fmt.Sprintf("%s_%.0f_char", k.kind, lv*100)] = ca
+		}
 	}
 	return res, nil
 }
@@ -87,21 +75,17 @@ func RunFig23(o Options) (*Result, error) {
 	per := o.Trials(150)
 	refreshes := []int{60, 120}
 	intervals := []sim.Time{4 * sim.Millisecond, 8 * sim.Millisecond, 12 * sim.Millisecond}
-	// One task per (refresh, interval) cell. Both cells of one refresh
-	// rate train the same model; the singleflight cache ensures exactly
-	// one training runs per rate no matter which cell gets there first.
-	batches, err := parallel.Map(o.Workers, len(refreshes)*len(intervals), func(i int) (*BatchResult, error) {
-		hz, ii := refreshes[i/len(intervals)], i%len(intervals)
+	// One cell per (refresh, interval).
+	g := grid{trials: per}
+	for _, hz := range refreshes {
 		cfg := DefaultConfig()
 		cfg.RefreshHz = hz
-		m, err := TrainModelWorkers(cfg, o.Workers)
-		if err != nil {
-			return nil, err
+		for ii, interval := range intervals {
+			g.cells = append(g.cells, cell{cfg: cfg, interval: interval,
+				trial: batch(o.Seed+int64(hz)*7+int64(ii)*52561, input.Volunteers[ii%5]).derive()})
 		}
-		return RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[ii%5], input.SpeedAny, intervals[ii],
-			attack.OnlineOptions{}, o.Seed+int64(hz)*7+int64(ii)*52561)
-	})
+	}
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}
@@ -125,17 +109,13 @@ func RunFig24(o Options) (*Result, error) {
 
 	per := o.Trials(100)
 
-	// The serial version advanced one running seed by 60013 per
-	// configuration; enumerating the sweeps up front makes that seed a
-	// pure function of the configuration index so the evaluations can fan
-	// out without changing a single trial.
-	type sweepCfg struct {
-		sweep, label string
-		cfg          victim.Config
-	}
-	var cfgs []sweepCfg
-	addCfg := func(sweep, label string, cfg victim.Config) {
-		cfgs = append(cfgs, sweepCfg{sweep: sweep, label: label, cfg: cfg})
+	// Each configuration's seed is a pure function of its index.
+	type label struct{ sweep, label string }
+	var labels []label
+	var cfgs []victim.Config
+	addCfg := func(sweep, lbl string, cfg victim.Config) {
+		labels = append(labels, label{sweep, lbl})
+		cfgs = append(cfgs, cfg)
 	}
 	// (a) GPU models.
 	for _, dev := range []android.DeviceModel{android.LGV30, android.OnePlus7Pro, android.OnePlus8Pro, android.OnePlus9} {
@@ -162,12 +142,8 @@ func RunFig24(o Options) (*Result, error) {
 		addCfg("android", fmt.Sprintf("Android %d", v), cfg)
 	}
 
-	batches, err := parallel.Map(o.Workers, len(cfgs), func(i int) (*BatchResult, error) {
-		cfg := cfgs[i].cfg
-		m, err := TrainModelWorkers(cfg, o.Workers)
-		if err != nil {
-			return nil, err
-		}
+	g := grid{trials: per}
+	for i, cfg := range cfgs {
 		seed := o.Seed + 60013*int64(i+1)
 		// §7.4's recommendation: poll at no more than half the refresh
 		// interval — 4 ms on 120 Hz panels.
@@ -179,15 +155,15 @@ func RunFig24(o Options) (*Result, error) {
 		if hz > 60 {
 			interval = 4 * sim.Millisecond
 		}
-		return RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[int(seed)%5], input.SpeedAny, interval,
-			attack.OnlineOptions{}, seed)
-	})
+		g.cells = append(g.cells, cell{cfg: cfg, interval: interval,
+			trial: batch(seed, input.Volunteers[int(seed)%5]).derive()})
+	}
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}
 	var texts []float64
-	for i, sc := range cfgs {
+	for i, sc := range labels {
 		ta, ca := batches[i].TextAccuracy(), batches[i].CharAccuracy()
 		res.Table.AddRow(sc.sweep, sc.label, stats.Pct(ta), stats.Pct(ca))
 		res.Metrics[sc.sweep+"/"+sc.label+"/text"] = ta

@@ -5,11 +5,8 @@ import (
 	"fmt"
 
 	"gpuleak/internal/android"
-	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
-	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/victim"
 )
 
 // RunFig28 reproduces §8 (Figures 27/28): practical usage sessions where
@@ -24,41 +21,35 @@ func RunFig28(o Options) (*Result, error) {
 	apps := []*android.App{android.Chase, android.Amex, android.Fidelity,
 		android.Schwab, android.MyFICO, android.Experian}
 
-	var traceAccs, charAccs []float64
+	// One single-trial cell per (volunteer, session): the target app
+	// rotates across sessions.
+	practical := input.DefaultPracticalOptions()
+	g := grid{trials: 1}
 	for vi, vol := range input.Volunteers {
-		inferred := make([]string, 0, per)
-		truths := make([]string, 0, per)
-		corrections := 0
 		for si := 0; si < per; si++ {
 			cfg := DefaultConfig()
 			cfg.App = apps[(vi*per+si)%len(apps)]
-			m, err := TrainModel(cfg)
-			if err != nil {
-				return nil, err
-			}
-			seed := o.Seed + int64(vi)*70001 + int64(si)*733
-			rng := sim.NewRand(seed)
-			text := input.RandomText(rng, LowerDigits, 8+rng.Intn(9))
-			cfg.Seed = seed
-			sess := victim.New(cfg)
-			script := input.Practical(text, vol, input.DefaultPracticalOptions(), rng, 700*sim.Millisecond)
-			sess.Run(script)
-			f, err := sess.Open()
-			if err != nil {
-				return nil, err
-			}
-			atk := attack.New(m)
-			r, err := atk.Eavesdrop(f, 0, sess.End)
-			if err != nil {
-				return nil, err
-			}
-			inferred = append(inferred, r.Text)
-			truths = append(truths, sess.TypedText())
-			corrections += r.Stats.Corrections
+			g.cells = append(g.cells, cell{cfg: cfg,
+				trial: typing{seed: o.Seed + int64(vi)*70001 + int64(si)*733, alphabet: LowerDigits,
+					length: 8, span: 9, vols: []input.Volunteer{vol}, practical: &practical}.derive()})
+		}
+	}
+	out, err := runEavesdrop(o, g)
+	if err != nil {
+		return nil, err
+	}
+	var traceAccs, charAccs []float64
+	for vi, vol := range input.Volunteers {
+		var inferred, truths []string
+		corrections := 0
+		for _, e := range out[vi*per : (vi+1)*per] {
+			inferred = append(inferred, e.res.Text)
+			truths = append(truths, e.truth)
+			corrections += e.res.Stats.Corrections
 		}
 		ta := stats.TextAccuracy(inferred, truths)
 		ca := stats.CharAccuracy(inferred, truths)
-		res.Table.AddRow(input.Volunteers[vi].Name, stats.Pct(ta), stats.Pct(ca), fmt.Sprintf("%d", corrections))
+		res.Table.AddRow(vol.Name, stats.Pct(ta), stats.Pct(ca), fmt.Sprintf("%d", corrections))
 		res.Metrics["trace_"+vol.Name] = ta
 		res.Metrics["char_"+vol.Name] = ca
 		traceAccs = append(traceAccs, ta)
@@ -79,34 +70,23 @@ func RunFig29(o Options) (*Result, error) {
 
 	per := o.Trials(100)
 
-	// Baseline: Chase (no animation).
-	base := DefaultConfig()
-	mBase, err := TrainModel(base)
+	// Baseline: Chase (no animation). PNC: decorative login animation.
+	// The attacker trains on PNC too — the animation still interferes
+	// because its frames continuously perturb the counters.
+	g := grid{trials: per}
+	for i, app := range []*android.App{android.Chase, android.PNC} {
+		cfg := DefaultConfig()
+		cfg.App = app
+		g.cells = append(g.cells, cell{cfg: cfg,
+			trial: batch(o.Seed+291+int64(i), input.Volunteers[i]).derive()})
+	}
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}
-	bb, err := RunBatch(o, base, mBase, LowerDigits, 10, per, input.Volunteers[0],
-		input.SpeedAny, attack.DefaultInterval, attack.OnlineOptions{}, o.Seed+291)
-	if err != nil {
-		return nil, err
-	}
+	bb, pb := batches[0], batches[1]
 	res.Table.AddRow("none (Chase)", stats.Pct(bb.TextAccuracy()), stats.Pct(bb.CharAccuracy()), "")
 	res.Metrics["baseline_text"] = bb.TextAccuracy()
-
-	// PNC: decorative login animation. The attacker trains on PNC too —
-	// the animation still interferes because its frames continuously
-	// perturb the counters.
-	pnc := DefaultConfig()
-	pnc.App = android.PNC
-	mPNC, err := TrainModel(pnc)
-	if err != nil {
-		return nil, err
-	}
-	pb, err := RunBatch(o, pnc, mPNC, LowerDigits, 10, per, input.Volunteers[1],
-		input.SpeedAny, attack.DefaultInterval, attack.OnlineOptions{}, o.Seed+292)
-	if err != nil {
-		return nil, err
-	}
 	res.Table.AddRow("PNC login animation", stats.Pct(pb.TextAccuracy()), stats.Pct(pb.CharAccuracy()), "app-side")
 	res.Metrics["pnc_text"] = pb.TextAccuracy()
 	res.Metrics["pnc_char"] = pb.CharAccuracy()

@@ -26,7 +26,7 @@ func RunFusion(o Options) (*Result, error) {
 	trials := o.Trials(40)
 	sw := sweep{trials: trials, textLen: 8, fuse: true}
 	for _, p := range profiles {
-		sw.cells = append(sw.cells, sweepCell{fault: p})
+		sw.cells = append(sw.cells, cell{fault: p})
 	}
 	slots, err := sw.run(o)
 	if err != nil {

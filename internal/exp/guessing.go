@@ -5,9 +5,7 @@ import (
 
 	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
-	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/victim"
 )
 
 // RunGuessing quantifies §7.1's remark that "such single errors in
@@ -18,33 +16,19 @@ func RunGuessing(o Options) (*Result, error) {
 	res := newResult("guessing", "§7.1: credential recovery with k guesses",
 		"k", "accuracy@k")
 
-	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	per := o.Trials(300)
+	g := grid{trials: per, cells: []cell{{cfg: DefaultConfig(),
+		trial: typing{textSeed: o.Seed + 71, seed: o.Seed, stride: 607, xor: 0xAB,
+			alphabet: LowerDigits, length: 12, vols: input.Volunteers}.derive()}}}
+	out, err := runEavesdrop(o, g)
 	if err != nil {
 		return nil, err
 	}
-	per := o.Trials(300)
-	rng := sim.NewRand(o.Seed + 71)
 
 	ks := []int{1, 2, 5, 10, 20, 50}
 	hits := make([]int, len(ks))
-	for si := 0; si < per; si++ {
-		text := input.RandomText(rng, LowerDigits, 12)
-		seed := o.Seed + int64(si)*607
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[si%5], input.SpeedAny,
-			sim.NewRand(seed^0xAB), 700*sim.Millisecond))
-		f, err := sess.Open()
-		if err != nil {
-			return nil, err
-		}
-		r, err := attack.New(m).Eavesdrop(f, 0, sess.End)
-		if err != nil {
-			return nil, err
-		}
-		rank := attack.GuessRank(r.Keys, sess.TypedText(), ks[len(ks)-1])
+	for _, e := range out {
+		rank := attack.GuessRank(e.res.Keys, e.truth, ks[len(ks)-1])
 		for ki, k := range ks {
 			if rank > 0 && rank <= k {
 				hits[ki]++

@@ -77,7 +77,7 @@ func RunChaosProfiles(o Options, profiles []fault.Profile, trials, textLen int) 
 	}
 	sw := sweep{trials: trials, textLen: textLen, retry: true, reference: true}
 	for _, p := range profiles {
-		sw.cells = append(sw.cells, sweepCell{fault: p})
+		sw.cells = append(sw.cells, cell{fault: p})
 	}
 	slots, err := sw.run(o)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"gpuleak/internal/attack"
 	"gpuleak/internal/defense"
 	"gpuleak/internal/input"
+	"gpuleak/internal/obs"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
 	"gpuleak/internal/victim"
@@ -26,105 +27,88 @@ func RunSec9Defenses(o Options) (*Result, error) {
 	}
 	per := o.Trials(80)
 
-	type outcome struct {
-		text, char, lengthLeak float64
-		blocked                bool
+	// One cell per defense row. Every row types the same sessions; a
+	// countermeasure that acts on the device is armed after the victim
+	// typed, before the attacker opens it.
+	type row struct {
+		label, note string
+		cfg         victim.Config
+		defend      func(*victim.Session)
+		amp         float64 // obfuscation amplitude (0: none)
 	}
-	run := func(mut func(*victim.Config), defend func(*victim.Session)) (outcome, error) {
-		rng := sim.NewRand(o.Seed + 9)
-		var inferred, truths []string
-		lenHits, lenTotal := 0, 0
-		for i := 0; i < per; i++ {
-			cfg := base
-			cfg.Seed = o.Seed + int64(i)*271
-			if mut != nil {
-				mut(&cfg)
-			}
-			text := input.RandomText(rng, LowerDigits, 8+rng.Intn(6))
-			sess := victim.New(cfg)
-			sess.Run(input.Typing(text, input.Volunteers[i%5], input.SpeedAny,
-				sim.NewRand(cfg.Seed^0x9), 700*sim.Millisecond))
-			if defend != nil {
-				defend(sess)
-			}
-			f, err := sess.Open()
-			if err != nil {
-				return outcome{blocked: true}, nil
-			}
-			atk := attack.New(m)
-			r, err := atk.Eavesdrop(f, 0, sess.End)
-			if err != nil {
-				return outcome{blocked: true}, nil
-			}
-			truth := sess.TypedText()
-			inferred = append(inferred, r.Text)
-			truths = append(truths, truth)
-			lenTotal++
-			if r.EstimatedLength == len([]rune(truth)) {
-				lenHits++
-			}
+	popups, autofill := base, base
+	popups.DisablePopups = true
+	autofill.Autofill = true
+	rows := []row{
+		{label: "none", cfg: base},
+		// §9.1 popup disabling: credentials protected, length still leaks.
+		{label: "popups disabled", note: "length still leaks (§9.1)", cfg: popups},
+		// §9.3 password manager / autofill: one fill frame.
+		{label: "autofill", note: "first-time entry still typed", cfg: autofill},
+		// §9.2 RBAC via the SELinux ioctl whitelist (the shipped fix).
+		{label: "SELinux ioctl whitelist", note: "PERFCOUNTER_READ denied", cfg: base,
+			defend: func(s *victim.Session) { s.Device.SetPolicy(defense.NewGooglePatchPolicy()) }},
+	}
+	// §9.3 obfuscation sweep: accuracy falls as amplitude (and GPU cost)
+	// rises — the paper's open tuning question.
+	for _, amp := range []float64{0.0005, 0.002, 0.01} {
+		obf := &defense.NoiseObfuscator{Amplitude: amp, Seed: 31}
+		rows = append(rows, row{label: fmt.Sprintf("obfuscation x%.4f", amp),
+			note: fmt.Sprintf("GPU cost ~%.2f%%", 100*obf.GPUCostFraction()), cfg: base, amp: amp,
+			defend: func(s *victim.Session) { s.Device.SetObfuscator(obf) }})
+	}
+	g := grid{trials: per}
+	for _, rw := range rows {
+		g.cells = append(g.cells, cell{cfg: rw.cfg, model: m,
+			trial: typing{textSeed: o.Seed + 9, seed: o.Seed, stride: 271, xor: 0x9,
+				alphabet: LowerDigits, length: 8, span: 6, vols: input.Volunteers}.derive()})
+	}
+	ctx := o.Context()
+	out, err := runGrid(o, g, func(i int, c *cell, sess *victim.Session, tr *obs.Tracer) (eavesdropped, error) {
+		if defend := rows[i/per].defend; defend != nil {
+			defend(sess)
 		}
-		return outcome{
-			text:       stats.TextAccuracy(inferred, truths),
-			char:       stats.CharAccuracy(inferred, truths),
-			lengthLeak: float64(lenHits) / float64(lenTotal),
-		}, nil
-	}
-
-	addRow := func(label string, oc outcome, note string) {
-		if oc.blocked {
-			res.Table.AddRow(label, "blocked", "blocked", "blocked", note)
-			res.Metrics["text_"+label] = 0
-			res.Metrics["blocked_"+label] = 1
-			return
+		r, err := c.eavesdrop(ctx, sess, tr)
+		if err != nil && ctx.Err() != nil {
+			return eavesdropped{}, err
 		}
-		res.Table.AddRow(label, stats.Pct(oc.text), stats.Pct(oc.char), stats.Pct(oc.lengthLeak), note)
-		res.Metrics["text_"+label] = oc.text
-		res.Metrics["length_"+label] = oc.lengthLeak
-	}
-
-	// Baseline.
-	oc, err := run(nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	addRow("none", oc, "")
-
-	// §9.1 popup disabling: credentials protected, length still leaks.
-	oc, err = run(func(c *victim.Config) { c.DisablePopups = true }, nil)
-	if err != nil {
-		return nil, err
-	}
-	addRow("popups disabled", oc, "length still leaks (§9.1)")
-
-	// §9.3 password manager / autofill: one fill frame.
-	oc, err = run(func(c *victim.Config) { c.Autofill = true }, nil)
-	if err != nil {
-		return nil, err
-	}
-	addRow("autofill", oc, "first-time entry still typed")
-
-	// §9.2 RBAC via the SELinux ioctl whitelist (the shipped fix).
-	oc, err = run(nil, func(s *victim.Session) {
-		s.Device.SetPolicy(defense.NewGooglePatchPolicy())
+		// Any other failure is the defense blocking the attacker: a nil
+		// result, not an experiment error.
+		return eavesdropped{truth: sess.TypedText(), res: r}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	addRow("SELinux ioctl whitelist", oc, "PERFCOUNTER_READ denied")
 
-	// §9.3 obfuscation sweep: accuracy falls as amplitude (and GPU cost)
-	// rises — the paper's open tuning question.
-	for _, amp := range []float64{0.0005, 0.002, 0.01} {
-		amp := amp
-		obf := &defense.NoiseObfuscator{Amplitude: amp, Seed: 31}
-		oc, err = run(nil, func(s *victim.Session) { s.Device.SetObfuscator(obf) })
-		if err != nil {
-			return nil, err
+	for ri, rw := range rows {
+		var inferred, truths []string
+		lenHits, blocked := 0, false
+		for _, e := range out[ri*per : (ri+1)*per] {
+			if e.res == nil {
+				blocked = true
+				break
+			}
+			inferred = append(inferred, e.res.Text)
+			truths = append(truths, e.truth)
+			if e.res.EstimatedLength == len([]rune(e.truth)) {
+				lenHits++
+			}
 		}
-		label := fmt.Sprintf("obfuscation x%.4f", amp)
-		addRow(label, oc, fmt.Sprintf("GPU cost ~%.2f%%", 100*obf.GPUCostFraction()))
-		res.Metrics[fmt.Sprintf("obf_%.4f_text", amp)] = oc.text
+		text := 0.0
+		if blocked {
+			res.Table.AddRow(rw.label, "blocked", "blocked", "blocked", rw.note)
+			res.Metrics["blocked_"+rw.label] = 1
+		} else {
+			text = stats.TextAccuracy(inferred, truths)
+			lengthLeak := float64(lenHits) / float64(per)
+			res.Table.AddRow(rw.label, stats.Pct(text), stats.Pct(stats.CharAccuracy(inferred, truths)),
+				stats.Pct(lengthLeak), rw.note)
+			res.Metrics["length_"+rw.label] = lengthLeak
+		}
+		res.Metrics["text_"+rw.label] = text
+		if rw.amp > 0 {
+			res.Metrics[fmt.Sprintf("obf_%.4f_text", rw.amp)] = text
+		}
 	}
 
 	// §9.1 malware detection: the attack's ioctl rate vs a normal GL

@@ -9,35 +9,23 @@ import (
 	"gpuleak/internal/fault"
 	"gpuleak/internal/input"
 	"gpuleak/internal/obs"
-	"gpuleak/internal/parallel"
 	"gpuleak/internal/proccount"
-	"gpuleak/internal/sim"
 	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
 )
 
-// The sweep harness behind the chaos, fusion and arms experiments: one
-// victim workload eavesdropped under every cell of a grid of read-path
-// stacks. Trial i types texts[i] on a victim seeded from i alone, so
-// every cell replays the same sessions and per-cell accuracy differences
-// are attributable to the stack, not to sampling.
+// The sweep behind the chaos, fusion and arms experiments: one victim
+// workload eavesdropped under every cell's read-path stack. Every cell
+// derives its trials from the same seed, so trial t types the same text
+// on the same victim in every cell and per-cell accuracy differences are
+// attributable to the stack, not to sampling.
 
-// sweepCell is one column of a sweep: the layers defense.Wrap stacks on
-// the KGSL probe of every trial in it. The zero cell is the bare device.
-type sweepCell struct {
-	// fault is the KGSL fault plane (unnamed: none), seeded per trial with
-	// fault.Seed(o.Seed, i).
-	fault fault.Profile
-	// defense is the policy armed on each session (nil: undefended) at
-	// strength, seeded per trial with defense.Seed(o.Seed, i).
-	defense  defense.Policy
-	strength float64
-}
-
-// sweep describes a cells × trials run. The flags carry the behaviours
+// sweep describes a grid of stack cells. The flags carry the behaviours
 // in which the experiments built on it differ.
 type sweep struct {
-	cells           []sweepCell
+	// cells set only the stack fields; run fills in the victim and the
+	// trial derivation.
+	cells           []cell
 	trials, textLen int
 	// fuse also eavesdrops the proccount channel, through the same
 	// defense but never a fault plane, and fuses it with KGSL.
@@ -51,8 +39,8 @@ type sweep struct {
 	// reference replays every zero-profile trial on the raw device with
 	// the zero retry policy and records whether the results agree.
 	reference bool
-	// track, when set and o.Obs is non-nil, gives trial i the child tracer
-	// "<track>/%04d" on its KGSL sampler and inference.
+	// track names the grid's telemetry tracks (see grid.track); each
+	// trial's track observes its KGSL sampler and inference.
 	track string
 }
 
@@ -75,15 +63,10 @@ type sweepTrial struct {
 	baselineOK bool
 }
 
-// run trains the models, then eavesdrops every (cell, trial) fanned out
-// over o.Workers. The result is indexed cell*trials + trial and is
-// bit-identical at any worker count.
+// run eavesdrops every (cell, trial) through the grid harness. The
+// result is indexed cell*trials + trial.
 func (sw sweep) run(o Options) ([]sweepTrial, error) {
 	cfg := DefaultConfig()
-	pm, err := TrainModelChannel(cfg, o.Workers, "")
-	if err != nil {
-		return nil, err
-	}
 	pch, err := channel.Get(channel.DefaultName)
 	if err != nil {
 		return nil, err
@@ -99,55 +82,30 @@ func (sw sweep) run(o Options) ([]sweepTrial, error) {
 		}
 	}
 
-	rng := sim.NewRand(o.Seed)
-	texts := make([]string, sw.trials)
-	for i := range texts {
-		texts[i] = input.RandomText(rng, LowerDigits, sw.textLen)
+	cells := append([]cell(nil), sw.cells...)
+	for ci := range cells {
+		ty := batch(o.Seed, input.Volunteers[0])
+		ty.length = sw.textLen
+		cells[ci].cfg, cells[ci].trial = cfg, ty.derive()
 	}
-
-	n := len(sw.cells) * sw.trials
-	var children []*obs.Tracer
-	if sw.track != "" && o.Obs != nil {
-		children = make([]*obs.Tracer, n)
-		for i := range children {
-			children[i] = o.Obs.Child(fmt.Sprintf("%s/%04d", sw.track, i))
-		}
-	}
-	slots := make([]sweepTrial, n)
-	err = parallel.ForEachCtx(o.Context(), o.Workers, n, func(i int) error {
-		trial := i % sw.trials
-		var tr *obs.Tracer
-		if children != nil {
-			tr = children[i]
-		}
-		seed := o.Seed + int64(trial)*101
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(texts[trial], input.Volunteers[0], input.SpeedAny,
-			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
-		t, err := sw.once(o, sw.cells[i/sw.trials], sess, pm, sm, pch, sch, i, tr)
-		slots[i] = t
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return slots, nil
+	return runGrid(o, grid{cells: cells, trials: sw.trials, track: sw.track},
+		func(i int, c *cell, sess *victim.Session, tr *obs.Tracer) (sweepTrial, error) {
+			return sw.once(o, c, sess, sm, pch, sch, i, tr)
+		})
 }
 
 // once eavesdrops one victim session through one cell's stack: KGSL as
 // the primary channel, then, when fusing, proccount under the same
 // defense.
-func (sw sweep) once(o Options, cell sweepCell, sess *victim.Session, pm, sm *attack.Model,
+func (sw sweep) once(o Options, c *cell, sess *victim.Session, sm *attack.Model,
 	pch, sch channel.Channel, i int, tr *obs.Tracer) (sweepTrial, error) {
 
 	ctx := o.Context()
 	out := sweepTrial{truth: sess.TypedText(), baselineOK: true}
 	var inst defense.Instance
-	if cell.defense != nil {
+	if c.defense != nil {
 		var err error
-		if inst, err = cell.defense.Arm(sess, cell.strength, defense.Seed(o.Seed, i)); err != nil {
+		if inst, err = c.defense.Arm(sess, c.strength, defense.Seed(o.Seed, i)); err != nil {
 			return out, err
 		}
 	}
@@ -197,16 +155,16 @@ func (sw sweep) once(o Options, cell sweepCell, sess *victim.Session, pm, sm *at
 
 	var ptr *trace.Trace
 	var err error
-	if out.kgsl, ptr, err = eavesdrop(pch, cell.fault, pm, tr); err != nil {
+	if out.kgsl, ptr, err = eavesdrop(pch, c.fault, c.model, tr); err != nil {
 		return out, err
 	}
 	if out.kgsl == nil && !sw.fallback {
 		return out, nil
 	}
-	if sw.reference && cell.fault.IsZero() && out.kgsl != nil {
+	if sw.reference && c.fault.IsZero() && out.kgsl != nil {
 		// Passthrough check: the stacked run must equal the raw legacy run
 		// of the same session in every observable.
-		raw, err := rawEavesdrop(o, sess, pm)
+		raw, err := rawEavesdrop(o, sess, c.model)
 		if err != nil {
 			return out, fmt.Errorf("exp: chaos baseline raw run: %w", err)
 		}
@@ -227,7 +185,7 @@ func (sw sweep) once(o Options, cell sweepCell, sess *victim.Session, pm, sm *at
 	// Decision-level fusion, degrading to whichever channel survived.
 	switch {
 	case out.kgsl != nil && out.proc != nil:
-		fr := attack.Fuse(pm, ptr.Deltas(), out.kgsl, sm, out.proc, pch.Interval(), attack.FusionOptions{})
+		fr := attack.Fuse(c.model, ptr.Deltas(), out.kgsl, sm, out.proc, pch.Interval(), attack.FusionOptions{})
 		out.fused = fr.Fused.Text
 		out.recovered = fr.Recovered
 		out.flipped = fr.Flipped

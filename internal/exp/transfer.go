@@ -2,10 +2,9 @@ package exp
 
 import (
 	"gpuleak/internal/android"
-	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
-	"gpuleak/internal/parallel"
 	"gpuleak/internal/stats"
+	"gpuleak/internal/victim"
 )
 
 // RunTransfer justifies the paper's §3.2 design decision to build "a
@@ -20,29 +19,26 @@ func RunTransfer(o Options) (*Result, error) {
 	devices := []android.DeviceModel{android.Pixel2, android.OnePlus8Pro, android.OnePlus9}
 	per := o.Trials(60)
 
-	models, err := parallel.Map(o.Workers, len(devices), func(i int) (*attack.Model, error) {
-		cfg := DefaultConfig()
-		cfg.Device = devices[i]
-		return TrainModelWorkers(cfg, o.Workers)
-	})
+	cfgs := make([]victim.Config, len(devices))
+	for i, dev := range devices {
+		cfgs[i] = DefaultConfig()
+		cfgs[i].Device = dev
+	}
+	models, err := trainAll(o, cfgs)
 	if err != nil {
 		return nil, err
 	}
 
-	// The full train × attack matrix is independent cell-wise.
+	// One cell per (train, attack) pair of the matrix.
 	n := len(devices)
-	accs, err := parallel.Map(o.Workers, n*n, func(i int) (float64, error) {
-		ti, ai := i/n, i%n
-		cfg := DefaultConfig()
-		cfg.Device = devices[ai]
-		b, err := RunBatch(o, cfg, models[ti], LowerDigits, 10, per,
-			input.Volunteers[(ti+ai)%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(ti)*7753+int64(ai)*131)
-		if err != nil {
-			return 0, err
+	g := grid{trials: per}
+	for ti := range devices {
+		for ai := range devices {
+			g.cells = append(g.cells, cell{cfg: cfgs[ai], model: models[ti],
+				trial: batch(o.Seed+int64(ti)*7753+int64(ai)*131, input.Volunteers[(ti+ai)%5]).derive()})
 		}
-		return b.CharAccuracy(), nil
-	})
+	}
+	batches, err := runBatches(o, g)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +47,7 @@ func RunTransfer(o Options) (*Result, error) {
 	for ti, trainDev := range devices {
 		row := []string{trainDev.Name}
 		for ai, attackDev := range devices {
-			ca := accs[ti*n+ai]
+			ca := batches[ti*n+ai].CharAccuracy()
 			row = append(row, stats.Pct(ca))
 			res.Metrics[trainDev.Name+"->"+attackDev.Name] = ca
 			if ti == ai {
