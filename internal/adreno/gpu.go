@@ -141,6 +141,8 @@ func (f Frame) Duration() sim.Time { return f.End - f.Start }
 type GPU struct {
 	model  Model
 	frames []Frame
+	// vecs[i] = scaled counter contribution of frames[i].
+	vecs [][numVec]uint64
 	// cum[i] = total contribution of frames[0..i-1] (completed).
 	cum      [][numVec]uint64
 	scaleVec statsVec
@@ -188,6 +190,7 @@ func (g *GPU) Submit(f Frame) Frame {
 	g.frames = append(g.frames, f)
 	last := g.cum[len(g.cum)-1]
 	v := g.scaledVec(f.Stats)
+	g.vecs = append(g.vecs, v)
 	var next [numVec]uint64
 	for i := range next {
 		next[i] = last[i] + v[i]
@@ -214,9 +217,9 @@ func (g *GPU) readVec(t sim.Time) [numVec]uint64 {
 		copy(out[:], g.base[:])
 		return out
 	}
-	cum := g.cum[idx]
-	f := g.frames[idx]
-	v := g.scaledVec(f.Stats)
+	cum := &g.cum[idx]
+	f := &g.frames[idx]
+	v := &g.vecs[idx]
 	if t >= f.End {
 		for i := range out {
 			out[i] = g.base[i] + cum[i] + v[i]

@@ -52,14 +52,14 @@ func (m *PerfMonitor) End(t sim.Time) ([NumSelected]uint64, error) {
 	if t < m.beginAt {
 		return out, fmt.Errorf("adreno: monitor ended before it began")
 	}
-	for _, f := range m.gpu.frames {
+	for fi, f := range m.gpu.frames {
 		if f.PID != m.pid {
 			continue
 		}
 		if f.End <= m.beginAt || f.Start >= t {
 			continue
 		}
-		v := m.gpu.scaledVec(f.Stats)
+		v := &m.gpu.vecs[fi]
 		// Partial overlap contributes proportionally, like the global
 		// register ramp.
 		span := f.End - f.Start

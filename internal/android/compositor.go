@@ -13,9 +13,10 @@ import (
 // Compositor is the SurfaceFlinger-like component: it owns the login UI,
 // the on-screen keyboard and the dynamic layers (popup, echo text, cursor,
 // notification icons, app-switch animation) and produces the FrameStats of
-// every UI change. Frames for identical UI states are cached, so sweeping
+// every UI change. Frames are cached by UI state in a StatsCache (the
+// process-wide one unless ShareCache attaches another), so sweeping
 // hundreds of thousands of key presses costs one render per distinct
-// state.
+// state, and so does serving thousands of sessions of one configuration.
 type Compositor struct {
 	Device    DeviceModel
 	Screen    geom.Size
@@ -24,41 +25,83 @@ type Compositor struct {
 	KB        *keyboard.Layout
 	UI        *LoginUI
 
-	cfg    render.Config
-	geoms  map[keyboard.Page]*keyboard.Geometry
-	cache  map[stateKey]render.FrameStats
-	shared *StatsCache
+	cfg   render.Config
+	geoms map[keyboard.Page]*keyboard.Geometry
+	fp    fingerprint
+	cache *StatsCache
 }
 
-// StatsCache is a thread-safe FrameStats cache that many compositors can
-// share. Rendering is a pure function of the UI state, so sessions of the
-// IDENTICAL configuration (device, resolution, app, keyboard) — e.g. the
-// per-(key, repeat) workers of the parallel offline phase, or the
-// independent trials of one experiment batch — can pool their renders:
-// each distinct frame state is rasterized once per process instead of
-// once per session. Sharing a cache across differing configurations is a
-// caller bug (the state key does not encode the configuration).
+// fingerprint is exactly the configuration NewCompositor renders from:
+// the OS version (status bar height), the screen, the app and the
+// keyboard. Apps and layouts are immutable package singletons, so their
+// pointers identify them; the refresh rate and the GPU model never reach
+// a render. Two compositors with equal fingerprints render every state
+// identically, which is what lets one cache serve every configuration.
+type fingerprint struct {
+	androidVersion int
+	screen         geom.Size
+	app            *App
+	kb             *keyboard.Layout
+}
+
+// cacheKey names one rendered frame: a configuration and a UI state.
+type cacheKey struct {
+	fp fingerprint
+	st stateKey
+}
+
+// cacheEntry holds one state's render; once makes concurrent missers of
+// the same state wait for a single render instead of each rasterizing it.
+type cacheEntry struct {
+	once  sync.Once
+	stats render.FrameStats
+}
+
+// maxCachedStates bounds a StatsCache: ~33 configurations at the ~245
+// states one configuration renders. Evicting an entry only costs a
+// re-render of an identical frame.
+const maxCachedStates = 8192
+
+// StatsCache is a thread-safe, bounded FrameStats cache that many
+// compositors can share. Rendering is a pure function of the
+// configuration fingerprint and the UI state, and both form the key, so
+// sessions of any configurations — the per-(key, repeat) workers of the
+// parallel offline phase, the trials of an experiment, served requests —
+// can pool their renders: each distinct frame is rasterized once per
+// cache instead of once per session, and sharing can never change a
+// result.
 type StatsCache struct {
 	mu sync.Mutex
-	m  map[stateKey]render.FrameStats
+	m  map[cacheKey]*cacheEntry
 }
 
 // NewStatsCache returns an empty shareable render cache.
 func NewStatsCache() *StatsCache {
-	return &StatsCache{m: make(map[stateKey]render.FrameStats)}
+	return &StatsCache{m: make(map[cacheKey]*cacheEntry)}
 }
 
-func (sc *StatsCache) get(k stateKey) (render.FrameStats, bool) {
-	sc.mu.Lock()
-	st, ok := sc.m[k]
-	sc.mu.Unlock()
-	return st, ok
-}
+// processCache is the render cache of every compositor that is not given
+// another one. Each entry is a pure function of its key, so callers that
+// share it cannot change one another's results, only their speed.
+var processCache = NewStatsCache()
 
-func (sc *StatsCache) put(k stateKey, st render.FrameStats) {
+// entry returns the entry for k, creating it (and evicting an arbitrary
+// entry when the cache is full) on a miss.
+func (sc *StatsCache) entry(k cacheKey) *cacheEntry {
 	sc.mu.Lock()
-	sc.m[k] = st
-	sc.mu.Unlock()
+	defer sc.mu.Unlock()
+	e, ok := sc.m[k]
+	if !ok {
+		if len(sc.m) >= maxCachedStates {
+			for old := range sc.m {
+				delete(sc.m, old)
+				break
+			}
+		}
+		e = &cacheEntry{}
+		sc.m[k] = e
+	}
+	return e
 }
 
 // Len reports how many distinct frame states the cache holds.
@@ -68,10 +111,15 @@ func (sc *StatsCache) Len() int {
 	return len(sc.m)
 }
 
-// ShareCache attaches a shared render cache; the compositor keeps its
-// lock-free private map as a first-level cache on top. Call before the
-// first frame is rendered.
-func (c *Compositor) ShareCache(sc *StatsCache) { c.shared = sc }
+// ShareCache renders through sc instead of the process-wide cache; nil
+// restores the process cache. Sharing one cache across configurations is
+// safe. Call before the first frame is rendered.
+func (c *Compositor) ShareCache(sc *StatsCache) {
+	if sc == nil {
+		sc = processCache
+	}
+	c.cache = sc
+}
 
 type frameKind int
 
@@ -86,12 +134,15 @@ const (
 	kindAnim
 )
 
+// stateKey identifies a UI state within one configuration. Every render
+// parameter has its own field, so distinct states never share a key.
 type stateKey struct {
-	kind frameKind
-	page keyboard.Page
-	r    rune
-	n    int
-	on   bool
+	kind  frameKind
+	page  keyboard.Page
+	r     rune
+	n     int
+	total int
+	on    bool
 }
 
 // NewCompositor builds the UI stack for one device configuration.
@@ -105,7 +156,8 @@ func NewCompositor(dev DeviceModel, screen geom.Size, refreshHz int, app *App, k
 		UI:        app.BuildLoginUI(screen, dev.AndroidVersion),
 		cfg:       render.DefaultConfig(),
 		geoms:     make(map[keyboard.Page]*keyboard.Geometry),
-		cache:     make(map[stateKey]render.FrameStats),
+		fp:        fingerprint{androidVersion: dev.AndroidVersion, screen: screen, app: app, kb: kb},
+		cache:     processCache,
 	}
 }
 
@@ -192,24 +244,12 @@ func (c *Compositor) scene(page keyboard.Page, popupRune rune, echoLen int, curs
 	return s
 }
 
+// cached returns the stats of state k, rendering them with build on the
+// first request for k in this configuration.
 func (c *Compositor) cached(k stateKey, build func() render.FrameStats) render.FrameStats {
-	if st, ok := c.cache[k]; ok {
-		return st
-	}
-	if c.shared != nil {
-		if st, ok := c.shared.get(k); ok {
-			c.cache[k] = st
-			return st
-		}
-	}
-	st := build()
-	c.cache[k] = st
-	if c.shared != nil {
-		// Concurrent builders may both render a state; the results are
-		// identical (rendering is pure), so last-write-wins is benign.
-		c.shared.put(k, st)
-	}
-	return st
+	e := c.cache.entry(cacheKey{fp: c.fp, st: k})
+	e.once.Do(func() { e.stats = build() })
+	return e.stats
 }
 
 // LaunchStats renders the first full frame after the target app opens:
@@ -287,7 +327,7 @@ func (c *Compositor) NotifStats(n int) render.FrameStats {
 // full-screen redraws with scaled app cards, producing the fierce counter
 // bursts of Figure 13.
 func (c *Compositor) SwitchFrameStats(i, total int) render.FrameStats {
-	return c.cached(stateKey{kind: kindSwitch, n: i*100 + total}, func() render.FrameStats {
+	return c.cached(stateKey{kind: kindSwitch, n: i, total: total}, func() render.FrameStats {
 		s := render.Scene{Screen: c.Screen}
 		full := geom.XYWH(0, 0, c.Screen.W, c.Screen.H)
 		s.Add(render.Layer{Z: 0, Name: "wallpaper", Prims: []render.Prim{render.Quad(full, true)}})

@@ -229,11 +229,17 @@ func (d *Device) BusyPercentage(t sim.Time) float64 {
 	return 100 * d.gpu.BusyFraction(t0, t)
 }
 
-// File is an open handle on the device, bound to a process context.
+// File is an open handle on the device, bound to a process context. A
+// File, like the Device behind it, belongs to one goroutine: ioctls
+// update unsynchronized counters and reservations, and ReadSelected
+// reuses the File's request buffer.
 type File struct {
 	dev    *Device
 	ctx    ProcContext
 	closed bool
+	// ReadSelected's request, over the File's own entry buffer.
+	rd  PerfcounterRead
+	buf [adreno.NumSelected]PerfcounterReadGroup
 }
 
 // Open opens the device file for a process. Unprivileged apps succeed
@@ -328,6 +334,9 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 	if f.dev.ReadLatency != nil {
 		t = f.dev.ReadLatency(t)
 	}
+	// One register snapshot serves every entry, as one multi-entry ioctl
+	// samples the register file once (Figure 10).
+	vec := f.dev.gpu.ReadSelected(t)
 	for i := range rd.Reads {
 		k := adreno.CounterKey{Group: rd.Reads[i].GroupID, Countable: rd.Reads[i].Countable}
 		if f.dev.reservations[k] == 0 {
@@ -338,7 +347,11 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 				return fmt.Errorf("%w (counter %v)", err, k)
 			}
 		}
-		v := f.dev.gpu.CounterValue(k, t)
+		// Reserved countables outside Table 1 read as a constant 0.
+		var v uint64
+		if j := adreno.SelectedIndex(k); j >= 0 {
+			v = vec[j]
+		}
 		if f.dev.obfuscator != nil {
 			v = f.dev.obfuscator.Obfuscate(k, v, t)
 		}
@@ -374,19 +387,19 @@ func (f *File) ReserveSelected(t sim.Time) error {
 }
 
 // ReadSelected block-reads every Table-1 counter in one ioctl and returns
-// the values in adreno.Selected order.
+// the values in adreno.Selected order. The request buffer is the File's
+// own and is reused across calls, so a read allocates nothing.
 func (f *File) ReadSelected(t sim.Time) ([adreno.NumSelected]uint64, error) {
 	var out [adreno.NumSelected]uint64
-	rd := PerfcounterRead{Reads: make([]PerfcounterReadGroup, adreno.NumSelected)}
 	for i, k := range adreno.Selected {
-		rd.Reads[i].GroupID = k.Group
-		rd.Reads[i].Countable = k.Countable
+		f.buf[i] = PerfcounterReadGroup{GroupID: k.Group, Countable: k.Countable}
 	}
-	if err := f.Ioctl(t, IoctlPerfcounterRead, &rd); err != nil {
+	f.rd.Reads = f.buf[:]
+	if err := f.Ioctl(t, IoctlPerfcounterRead, &f.rd); err != nil {
 		return out, err
 	}
 	for i := range out {
-		out[i] = rd.Reads[i].Value
+		out[i] = f.buf[i].Value
 	}
 	return out, nil
 }

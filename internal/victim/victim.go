@@ -58,12 +58,15 @@ type Config struct {
 	// controlled experiments).
 	DisableCursorBlink bool
 
-	// RenderCache, when non-nil, lets this session share rasterized frame
-	// statistics with other sessions of the IDENTICAL configuration (the
-	// parallel offline phase runs many short sessions that render the same
-	// states). Rendering is a pure function of UI state, so sharing never
-	// changes results; per-session RenderJitter is applied after the cache
-	// lookup.
+	// RenderCache is the cache this session's rasterized frame statistics
+	// are shared through; nil means the process-wide cache, which every
+	// session of every configuration shares. Entries are keyed by the
+	// configuration's render fingerprint as well as the UI state, so any
+	// cache may be shared across configurations; offline collection
+	// passes a private one so its renders are dropped with the model
+	// build. Rendering is a pure function of both keys, so sharing never
+	// changes results; per-session RenderJitter is applied after the
+	// cache lookup.
 	RenderCache *android.StatsCache
 }
 
@@ -158,9 +161,7 @@ func New(cfg Config) *Session {
 		Device: dev,
 		rng:    sim.NewRand(cfg.Seed),
 	}
-	if cfg.RenderCache != nil {
-		s.Comp.ShareCache(cfg.RenderCache)
-	}
+	s.Comp.ShareCache(cfg.RenderCache)
 	if cfg.CPULoad > 0 {
 		latRng := s.rng.Split()
 		load := cfg.CPULoad
