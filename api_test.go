@@ -80,9 +80,9 @@ func TestTrainContextCanceled(t *testing.T) {
 	}
 }
 
-// TestEavesdropContextCanceled pins sampler-tick cancellation on the
-// online phase.
-func TestEavesdropContextCanceled(t *testing.T) {
+// TestAttackRunCanceled pins sampler-tick cancellation on the online
+// phase.
+func TestAttackRunCanceled(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 5}
 	model, err := TrainWith(cfg, CollectOptions{Repeats: 1})
 	if err != nil {
@@ -96,8 +96,8 @@ func TestEavesdropContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewAttack(model).EavesdropContext(ctx, f, 0, sess.End); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EavesdropContext with dead context: %v, want context.Canceled", err)
+	if _, _, err := NewAttack(model).Run(ctx, f, 0, sess.End, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run with dead context: %v, want context.Canceled", err)
 	}
 }
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -153,38 +154,24 @@ func main() {
 		log.Printf("monitor: target launch detected at %v after %d low-duty reads",
 			mr.LaunchDetectedAt, mr.IdleReads)
 		res = mr.Result
-	} else if *traceOut != "" {
-		// Collect explicitly so the raw trace can be archived.
-		smp, err := attack.NewSamplerRetry(df, atk.Interval, atk.Retry)
-		if err != nil {
-			log.Fatal(err)
-		}
-		smp.Obs = tracer
-		tr, err := smp.Collect(0, sess.End)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tr.WriteCSV(out); err != nil {
-			log.Fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatalf("writing %s: %v", *traceOut, err)
-		}
-		log.Printf("wrote counter trace to %s (%d samples)", *traceOut, tr.Len())
-		res, err = atk.EavesdropTrace(tr)
-		if err != nil {
-			log.Fatalf("eavesdropping failed: %v", err)
-		}
-		res.Recovery = smp.Stats
-		res.Degraded = res.Degraded || smp.Stats.Degraded()
 	} else {
-		res, err = atk.Eavesdrop(df, 0, sess.End)
+		tr, r, err := atk.Run(context.Background(), df, 0, sess.End, nil)
 		if err != nil {
 			log.Fatalf("eavesdropping failed: %v", err)
+		}
+		res = r
+		if *traceOut != "" {
+			out, err := os.Create(*traceOut)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := tr.WriteCSV(out); err != nil {
+				log.Fatal(err)
+			}
+			if err := out.Close(); err != nil {
+				log.Fatalf("writing %s: %v", *traceOut, err)
+			}
+			log.Printf("wrote counter trace to %s (%d samples)", *traceOut, tr.Len())
 		}
 	}
 

@@ -122,7 +122,7 @@ func Example_defenseTournament() {
 
 	atk := gpuleak.NewAttack(model)
 	atk.Retry = gpuleak.DefaultRetryPolicy()
-	result, err := atk.EavesdropProbe(context.Background(), probe, 0, session.End)
+	_, result, err := atk.Run(context.Background(), probe, 0, session.End, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -35,8 +35,8 @@
 //
 // Every phase has a context-aware variant that honors cancellation
 // without ever changing a completed result: TrainContext (stops between
-// per-key collection tasks), Attack.EavesdropContext (checks at every
-// sampler tick), Sampler.CollectContext, and RunExperimentContext. The
+// per-key collection tasks), Attack.Run (checks at every sampler tick),
+// Sampler.CollectContext, and RunExperimentContext. The
 // context-free signatures remain as context.Background wrappers. The
 // context entry points take functional options — WithWorkers, WithObs,
 // WithInterval, WithRepeats — layered over the existing option structs.
@@ -109,8 +109,9 @@ type (
 	// Model is a trained per-configuration classifier.
 	Model = attack.Model
 	// Attack is the attacking application: preloaded models + sampler +
-	// online engine. Eavesdrop runs the full online phase;
-	// EavesdropContext adds sampler-tick-granular cancellation.
+	// online engine. Run is the full online phase with
+	// sampler-tick-granular cancellation, live key events and the
+	// sampled trace; Eavesdrop is its context-free quick start.
 	Attack = attack.Attack
 	// Result is an eavesdropping outcome.
 	Result = attack.Result
@@ -350,22 +351,11 @@ func EavesdropSession(ctx context.Context, sess *Session, models []*Model, start
 		if err != nil {
 			return nil, fmt.Errorf("gpuleak: opening channel %q: %w", ch.Name(), err)
 		}
-		smp, err := attack.NewSamplerTaxonomy(f, ch.Interval(), attack.RetryPolicy{}, ch.Taxonomy())
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			smp.Obs = o.obs
-		}
-		tr, err := smp.CollectContext(ctx, start, end)
-		if err != nil {
-			return nil, err
-		}
 		a := &Attack{Models: []*Model{m}, Interval: ch.Interval(), Errors: ch.Taxonomy()}
 		if i == 0 {
 			a.Obs = o.obs
 		}
-		res, err := a.EavesdropTrace(tr)
+		tr, res, err := a.Run(ctx, f, start, end, nil)
 		if err != nil {
 			return nil, err
 		}

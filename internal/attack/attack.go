@@ -60,8 +60,8 @@ type Attack struct {
 	// behaves identically.
 	Errors fault.Taxonomy
 	// Classify, when non-nil, overrides per-delta classification for every
-	// engine this attack builds (Eavesdrop, EavesdropTrace and the
-	// streaming variants). It must agree with m.ClassifyDenoised(v) for
+	// engine this attack builds (Run and its wrappers, EavesdropTrace and
+	// MonitorAndEavesdrop). It must agree with m.ClassifyDenoised(v) for
 	// every input — the hook exists so a serving tier can coalesce
 	// classification work across requests (micro-batching), never to
 	// change verdicts. at is the sim-time of the delta being classified.
@@ -75,17 +75,6 @@ type Attack struct {
 func New(models ...*Model) *Attack {
 	return &Attack{Models: models, Interval: DefaultInterval}
 }
-
-// taxonomy resolves the attack's channel error taxonomy (default KGSL).
-func (a *Attack) taxonomy() fault.Taxonomy {
-	if a.Errors.Valid() {
-		return a.Errors
-	}
-	return fault.KGSL()
-}
-
-// retryable classifies a device error under the attack's taxonomy.
-func (a *Attack) retryable(err error) bool { return RetryableIn(err, a.Errors) }
 
 // Recognize picks the classification model whose launch-frame fingerprint
 // best matches the first burst of activity in the delta stream (§3.2:
@@ -132,32 +121,6 @@ func (a *Attack) Recognize(ds []trace.Delta, interval sim.Time) (*Model, error) 
 	return best, nil
 }
 
-// engineFor builds the online engine for one recognized model, wiring
-// the attack's observability and classification hooks.
-func (a *Attack) engineFor(m *Model, interval sim.Time) *Engine {
-	eng := NewEngine(m, interval, a.Options)
-	eng.SetObs(a.Obs)
-	if a.Classify != nil {
-		eng.SetClassify(func(at sim.Time, v trace.Vec) Verdict { return a.Classify(m, at, v) })
-	}
-	return eng
-}
-
-// resultFrom assembles the Result of a finished engine run; shared by the
-// batch and streaming paths so both produce identical results.
-func (a *Attack) resultFrom(m *Model, eng *Engine) *Result {
-	RecordEngineStats(a.Obs.Metrics(), eng.Stats())
-	stats := eng.Stats()
-	return &Result{
-		Model:           m.Key,
-		Keys:            eng.Keys(),
-		Text:            eng.Text(),
-		Stats:           stats,
-		EstimatedLength: eng.EstimatedLength(),
-		Degraded:        stats.Gaps > 0 || stats.Resyncs > 0,
-	}
-}
-
 // EavesdropTrace runs device recognition and the online engine over a
 // collected trace.
 func (a *Attack) EavesdropTrace(tr *trace.Trace) (*Result, error) {
@@ -166,36 +129,65 @@ func (a *Attack) EavesdropTrace(tr *trace.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := a.engineFor(m, tr.Interval)
-	eng.ProcessAll(ds)
-	return a.resultFrom(m, eng), nil
+	return a.infer(m, tr.Interval, ds, nil)
+}
+
+// infer is the engine step every online path shares: it runs Algorithm 1
+// for one recognized model over ds, wiring the attack's observability
+// and classification hooks, forwards each committed key and retraction
+// to emit when non-nil, and assembles the Result. A non-nil error from
+// emit aborts the run.
+func (a *Attack) infer(m *Model, interval sim.Time, ds []trace.Delta, emit func(StreamEvent) error) (*Result, error) {
+	eng := NewEngine(m, interval, a.Options)
+	eng.SetObs(a.Obs)
+	if a.Classify != nil {
+		eng.SetClassify(func(at sim.Time, v trace.Vec) Verdict { return a.Classify(m, at, v) })
+	}
+	emitted := 0
+	for _, d := range ds {
+		eng.Process(d)
+		if emit == nil {
+			continue
+		}
+		keys := eng.Keys()
+		if len(keys) < emitted {
+			emitted = len(keys)
+			if err := emit(StreamEvent{At: d.At, Kind: "retract", Keys: len(keys)}); err != nil {
+				return nil, err
+			}
+		}
+		for ; emitted < len(keys); emitted++ {
+			if err := emit(StreamEvent{At: d.At, Kind: "key", Key: keys[emitted], Keys: emitted + 1}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	stats := eng.Stats()
+	RecordEngineStats(a.Obs.Metrics(), stats)
+	return &Result{
+		Model:           m.Key,
+		Keys:            eng.Keys(),
+		Text:            eng.Text(),
+		Stats:           stats,
+		EstimatedLength: eng.EstimatedLength(),
+		Degraded:        stats.Gaps > 0 || stats.Resyncs > 0,
+	}, nil
+}
+
+// withRecovery attaches a sampler's recovery accounting to r.
+func (r *Result) withRecovery(st CollectStats) *Result {
+	r.Recovery = st
+	r.Degraded = r.Degraded || st.Degraded()
+	return r
 }
 
 // Eavesdrop opens the sampling loop on a victim's GPU device file over
-// [start, end] and infers the typed credential. This is the full online
-// phase: poll counters, recognize the device, classify deltas. f is any
-// DeviceFile — a raw *kgsl.File, or a *fault.File when the run should
-// face an injected fault schedule. Probes from other channels go through
-// EavesdropProbe.
+// [start, end] and infers the typed credential: Run with no context,
+// no live notification and no trace. f is any DeviceFile — a raw
+// *kgsl.File, or a *fault.File when the run should face an injected
+// fault schedule.
 func (a *Attack) Eavesdrop(f DeviceFile, start, end sim.Time) (*Result, error) {
-	return a.EavesdropContext(context.Background(), f, start, end)
-}
-
-// EavesdropContext is Eavesdrop with cancellation: the sampling loop
-// checks ctx at every polling tick, and the engine run is skipped when
-// the context dies between sampling and inference. The result for a
-// completed run is byte-identical to Eavesdrop — the context is a control
-// channel, never an input to the inference.
-func (a *Attack) EavesdropContext(ctx context.Context, f DeviceFile, start, end sim.Time) (*Result, error) {
-	return a.EavesdropStreamContext(ctx, f, start, end, nil)
-}
-
-// EavesdropProbe is Eavesdrop over any channel probe — the generic entry
-// point of the channel plane. For a KGSL DeviceFile it is exactly
-// Eavesdrop; for narrower channels set a.Errors to the channel's
-// taxonomy so retries classify correctly.
-func (a *Attack) EavesdropProbe(ctx context.Context, f Probe, start, end sim.Time) (*Result, error) {
-	return a.EavesdropStreamContext(ctx, f, start, end, nil)
+	return a.EavesdropStreamContext(context.Background(), f, start, end, nil)
 }
 
 // StreamEvent is one incremental online-phase notification: the §5
@@ -216,53 +208,50 @@ type StreamEvent struct {
 	Keys int
 }
 
-// EavesdropStreamContext is EavesdropContext with live notification:
-// emit, when non-nil, is invoked synchronously for every key the online
-// engine commits and every retraction it performs, in delta order — the
-// paper's real-time notification-bar display as an API. A non-nil error
-// from emit aborts the run (a streaming client went away). The returned
-// Result is byte-identical to EavesdropContext over the same inputs: the
-// emission is a tap on Algorithm 1, never a fork of it.
+// EavesdropStreamContext is Run for callers that do not keep the trace.
 func (a *Attack) EavesdropStreamContext(ctx context.Context, f Probe, start, end sim.Time, emit func(StreamEvent) error) (*Result, error) {
+	_, res, err := a.Run(ctx, f, start, end, emit)
+	return res, err
+}
+
+// Run is the online phase (§4, Figure 4): it reserves and polls the
+// probe's counters over [start, end] under the attack's Interval, Retry
+// policy, error taxonomy and tracer, recognizes the device, and runs the
+// engine, attaching the sampler's recovery accounting to the Result. f
+// is any channel probe; for channels other than KGSL set a.Errors to the
+// channel's taxonomy so retries classify correctly.
+//
+// The sampling loop checks ctx at every polling tick, and the engine run
+// is skipped when the context dies between sampling and inference; the
+// context is a control channel, never an input to the inference. emit,
+// when non-nil, is invoked synchronously for every key the engine
+// commits and every retraction it performs, in delta order — the
+// paper's real-time notification-bar display as an API. A non-nil error
+// from emit aborts the run (a streaming client went away). The Result is
+// identical with or without emit: the emission is a tap on Algorithm 1,
+// never a fork of it. The sampled trace is returned too, for callers
+// that fuse or archive it.
+func (a *Attack) Run(ctx context.Context, f Probe, start, end sim.Time, emit func(StreamEvent) error) (*trace.Trace, *Result, error) {
 	s, err := NewSamplerTaxonomy(f, a.Interval, a.Retry, a.Errors)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.Obs = a.Obs
 	tr, err := s.CollectContext(ctx, start, end)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ds := tr.Deltas()
 	m, err := a.Recognize(ds, tr.Interval)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	eng := a.engineFor(m, tr.Interval)
-	emitted := 0
-	for _, d := range ds {
-		eng.Process(d)
-		if emit == nil {
-			continue
-		}
-		keys := eng.Keys()
-		if len(keys) < emitted {
-			emitted = len(keys)
-			if err := emit(StreamEvent{At: d.At, Kind: "retract", Keys: len(keys)}); err != nil {
-				return nil, err
-			}
-		}
-		for ; emitted < len(keys); emitted++ {
-			if err := emit(StreamEvent{At: d.At, Kind: "key", Key: keys[emitted], Keys: emitted + 1}); err != nil {
-				return nil, err
-			}
-		}
+	res, err := a.infer(m, tr.Interval, ds, emit)
+	if err != nil {
+		return nil, nil, err
 	}
-	res := a.resultFrom(m, eng)
-	res.Recovery = s.Stats
-	res.Degraded = res.Degraded || s.Stats.Degraded()
-	return res, nil
+	return tr, res.withRecovery(s.Stats), nil
 }

@@ -78,7 +78,7 @@ func (a *Attack) MonitorAndEavesdrop(f DeviceFile, start, end sim.Time, opts Mon
 	out := &MonitorResult{}
 	prev, err := f.ReadSelected(start)
 	havePrev := err == nil
-	if err != nil && (!a.Retry.Enabled() || !a.retryable(err)) {
+	if err != nil && (!s.Retry.Enabled() || !s.retryable(err)) {
 		return nil, &SampleError{At: start, Op: "read", Attempts: 1, Err: err}
 	}
 	// Recent non-zero deltas; a launch frame may split across two idle
@@ -99,14 +99,14 @@ func (a *Attack) MonitorAndEavesdrop(f DeviceFile, start, end sim.Time, opts Mon
 			// tick: a launch fingerprint spans several reads, so the
 			// low-duty watcher tolerates holes the same way the full-rate
 			// sampler converts them into trace gaps.
-			if !a.Retry.Enabled() || !a.retryable(err) {
+			if !s.Retry.Enabled() || !s.retryable(err) {
 				return nil, &SampleError{At: t, Op: "read", Attempts: 1, Err: err}
 			}
 			badTicks++
-			if a.Retry.MaxBadTicks > 0 && badTicks > a.Retry.MaxBadTicks {
+			if s.Retry.MaxBadTicks > 0 && badTicks > s.Retry.MaxBadTicks {
 				return nil, &SampleError{At: t, Op: "read", Attempts: badTicks, Err: err}
 			}
-			if errors.Is(err, a.taxonomy().NotReserved) {
+			if errors.Is(err, s.taxonomy().NotReserved) {
 				// Best effort: re-reserve now so the next tick can read.
 				_ = f.ReserveSelected(t)
 			}
@@ -170,26 +170,19 @@ func (a *Attack) MonitorAndEavesdrop(f DeviceFile, start, end sim.Time, opts Mon
 	out.Detected = true
 	out.LaunchDetectedAt = detectedAt
 
-	// Full-rate eavesdropping from the detection point.
+	// Full-rate eavesdropping from the detection point, on the sampler
+	// already reserved for the idle wait: Run would reserve the counters
+	// a second time. The launch match stands in for Recognize.
 	s.Interval = interval
 	tr, err := s.Collect(detectedAt, end)
 	if err != nil {
 		return nil, err
 	}
-	eng := NewEngine(detected, interval, a.Options)
-	eng.SetObs(a.Obs)
-	eng.ProcessAll(tr.Deltas())
-	RecordEngineStats(a.Obs.Metrics(), eng.Stats())
-	stats := eng.Stats()
-	out.Result = &Result{
-		Model:           detected.Key,
-		Keys:            eng.Keys(),
-		Text:            eng.Text(),
-		Stats:           stats,
-		EstimatedLength: eng.EstimatedLength(),
-		Degraded:        stats.Gaps > 0 || stats.Resyncs > 0 || s.Stats.Degraded(),
-		Recovery:        s.Stats,
+	res, err := a.infer(detected, interval, tr.Deltas(), nil)
+	if err != nil {
+		return nil, err
 	}
+	out.Result = res.withRecovery(s.Stats)
 	return out, nil
 }
 

@@ -1,11 +1,13 @@
 package attack
 
 import (
+	"reflect"
 	"testing"
 
 	"gpuleak/internal/android"
 	"gpuleak/internal/input"
 	"gpuleak/internal/sim"
+	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
 )
 
@@ -67,5 +69,50 @@ func TestMonitorDoesNotFireOnForeignUse(t *testing.T) {
 	}
 	if res.Detected {
 		t.Fatalf("monitor fired on a non-target app at %v", res.LaunchDetectedAt)
+	}
+}
+
+// TestMonitorUsesClassifyHook pins that the monitor's full-rate phase
+// builds its engine like every other online path: per-delta
+// classification goes through Attack.Classify, and a hook that agrees
+// with ClassifyDenoised leaves the Result unchanged.
+func TestMonitorUsesClassifyHook(t *testing.T) {
+	cfg := baseVictimConfig()
+	cfg.Seed = 406
+	cfg.PreLaunch = 2 * sim.Second
+	m := sharedModel(t)
+	script := input.Typing("hooked1", input.Volunteers[0], input.SpeedAny,
+		sim.NewRand(19), cfg.PreLaunch+800*sim.Millisecond)
+
+	run := func(atk *Attack) *Result {
+		sess := victim.New(cfg)
+		sess.Run(script)
+		f, err := sess.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := atk.MonitorAndEavesdrop(f, 0, sess.End, MonitorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Detected {
+			t.Fatal("target app launch not detected")
+		}
+		return res.Result
+	}
+
+	want := run(New(m))
+	calls := 0
+	hooked := New(m)
+	hooked.Classify = func(m *Model, _ sim.Time, v trace.Vec) Verdict {
+		calls++
+		return m.ClassifyDenoised(v)
+	}
+	got := run(hooked)
+	if calls == 0 {
+		t.Fatal("MonitorAndEavesdrop never called the Classify hook")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("hooked monitor result %+v, unhooked %+v", got, want)
 	}
 }

@@ -3,17 +3,20 @@ package attack
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"gpuleak/internal/fault"
 	"gpuleak/internal/input"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/victim"
 )
 
-// TestEavesdropStreamMatchesOneShot pins the streaming API's identity
-// contract: EavesdropStreamContext over a device file produces the exact
-// Result of EavesdropContext, and replaying its key/retract events
-// reconstructs the final key sequence.
+// TestEavesdropStreamMatchesOneShot pins the online phase's identity
+// contract: Run with no emit samples exactly the trace a bare sampler
+// collects, EavesdropStreamContext over a device file produces the exact
+// Result of that Run, and replaying its key/retract events reconstructs
+// the final key sequence.
 func TestEavesdropStreamMatchesOneShot(t *testing.T) {
 	cfg := baseVictimConfig()
 	cfg.Seed = 4242
@@ -32,9 +35,22 @@ func TestEavesdropStreamMatchesOneShot(t *testing.T) {
 	}
 
 	sess1, f1 := open()
-	want, err := New(m).EavesdropContext(context.Background(), f1, 0, sess1.End)
+	tr, want, err := New(m).Run(context.Background(), f1, 0, sess1.End, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	sess0, f0 := open()
+	s, err := NewSamplerTaxonomy(f0, DefaultInterval, RetryPolicy{}, fault.Taxonomy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := s.CollectContext(context.Background(), 0, sess0.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr, ref) {
+		t.Fatalf("Run sampled %d samples, a bare sampler %d: traces differ", tr.Len(), ref.Len())
 	}
 
 	sess2, f2 := open()
@@ -48,8 +64,7 @@ func TestEavesdropStreamMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got.Text != want.Text || got.Stats != want.Stats ||
-		got.EstimatedLength != want.EstimatedLength || got.Model != want.Model {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed result %+v != one-shot %+v", got, want)
 	}
 

@@ -236,18 +236,9 @@ func RunAblationGreedyVsOffline(o Options) (*Result, error) {
 		if err != nil {
 			return pair{}, err
 		}
-		smp, err := attack.NewSampler(f, attack.DefaultInterval)
-		if err != nil {
-			return pair{}, err
-		}
-		smp.Obs = tr
-		t, err := smp.CollectContext(o.Context(), 0, sess.End)
-		if err != nil {
-			return pair{}, err
-		}
 		atk := attack.New(c.model)
 		atk.Obs = tr
-		online, err := atk.EavesdropTrace(t)
+		t, online, err := atk.Run(o.Context(), f, 0, sess.End, nil)
 		if err != nil {
 			return pair{}, err
 		}

@@ -171,7 +171,7 @@ func (c *cell) eavesdrop(ctx context.Context, sess *victim.Session, tr *obs.Trac
 		interval = attack.DefaultInterval
 	}
 	atk := &attack.Attack{Models: []*attack.Model{c.model}, Interval: interval, Options: c.opts, Obs: tr}
-	return atk.EavesdropContext(ctx, f, 0, sess.End)
+	return atk.EavesdropStreamContext(ctx, f, 0, sess.End, nil)
 }
 
 // eavesdropped is one trial of the standard attacker: what the victim

@@ -126,30 +126,21 @@ func (sw sweep) once(o Options, c *cell, sess *victim.Session, sm *attack.Model,
 		if sw.retry {
 			st.Retry = attack.DefaultRetryPolicy()
 		}
-		var t *trace.Trace
-		smp, err := attack.NewSamplerTaxonomy(st.Probe, ch.Interval(), st.Retry, ch.Taxonomy())
-		if err == nil {
-			smp.Obs = tr
-			t, err = smp.CollectContext(ctx, 0, sess.End)
-		}
+		a := &attack.Attack{Models: []*attack.Model{m}, Interval: ch.Interval(),
+			Errors: ch.Taxonomy(), Retry: st.Retry, Obs: tr}
+		t, res, err := a.Run(ctx, st.Probe, 0, sess.End, nil)
 		if st.Fault != nil {
 			out.injected = st.Fault.Stats
 		}
 		if err != nil {
+			// A failed reservation or sampling loop, or a trace the
+			// recognizer rejects: the channel went dark — unless the
+			// context died.
 			if ctx.Err() != nil {
 				return nil, nil, err
 			}
 			return nil, nil, nil
 		}
-		a := &attack.Attack{Models: []*attack.Model{m}, Interval: ch.Interval(),
-			Errors: ch.Taxonomy(), Retry: st.Retry, Obs: tr}
-		res, err := a.EavesdropTrace(t)
-		if err != nil {
-			// A trace the recognizer rejects: the channel went dark too.
-			return nil, nil, nil
-		}
-		res.Recovery = smp.Stats
-		res.Degraded = res.Degraded || smp.Stats.Degraded()
 		return res, t, nil
 	}
 
@@ -205,7 +196,7 @@ func rawEavesdrop(o Options, sess *victim.Session, m *attack.Model) (*attack.Res
 		return nil, err
 	}
 	atk := &attack.Attack{Models: []*attack.Model{m}, Interval: attack.DefaultInterval}
-	return atk.EavesdropContext(o.Context(), f, 0, sess.End)
+	return atk.EavesdropStreamContext(o.Context(), f, 0, sess.End, nil)
 }
 
 // resultText is a channel's inferred text, empty when it failed.

@@ -43,3 +43,30 @@ func FuzzReadJSONL(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseTraceparent hardens the traceparent header parser, which
+// reads untrusted input at the serving and routing edges: arbitrary
+// input never panics, a rejection returns the zero context, and an
+// accepted header yields a valid remote context whose re-exported
+// header parses back to the same ids.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(NewTrace(1).Traceparent())
+	f.Add("")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceparent(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, tc)
+			}
+			return
+		}
+		if !tc.Valid() || !tc.Remote {
+			t.Fatalf("accepted %q as %+v: want a valid remote context", s, tc)
+		}
+		back, ok := ParseTraceparent(tc.Traceparent())
+		if !ok || back.TraceID != tc.TraceID || back.SpanID != tc.SpanID {
+			t.Fatalf("re-parsing %q gave %+v (ok=%v), want ids of %+v", tc.Traceparent(), back, ok, tc)
+		}
+	})
+}

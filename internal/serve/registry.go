@@ -194,7 +194,7 @@ func (r *Registry) LookupChannel(cfg victim.Config, channel string) (*attack.Mod
 // its number of concurrent trainings, which the serving layer's bounded
 // queues keep finite.
 func (sh *regShard) evict(cap int) {
-	//gpuvet:ignore lockcheck -- held by caller (Get locks sh.mu)
+	//gpuvet:ignore lockcheck -- held by caller (GetChannel locks sh.mu)
 	for len(sh.entries) > cap {
 		victimKey, oldest := "", ^uint64(0)
 		for k, e := range sh.entries {

@@ -620,6 +620,12 @@ func openStack(sess *victim.Session, name string, fp fault.Profile, faultSeed in
 // collect samples one channel of a fused run over [0, end] through its
 // probe stack and runs the online phase over the trace; tr, when
 // non-nil, observes the inference.
+//
+// It is the one online path not on attack.Attack.Run, on purpose: Run
+// attaches the sampler's recovery accounting, so switching would fill
+// the fused response's "recovery" (empty today) and change served bytes
+// that perfbench/replay.go mirrors. That switch, plus the matching replay
+// edit, is the fused-recovery fix and lands with a benchmark change.
 func collect(ctx context.Context, ch channel.Channel, st defense.Stack, end sim.Time, m *attack.Model, tr *obs.Tracer) (*trace.Trace, *attack.Result, error) {
 	smp, err := attack.NewSamplerTaxonomy(st.Probe, ch.Interval(), st.Retry, ch.Taxonomy())
 	if err != nil {

@@ -87,12 +87,12 @@ func libraryEavesdrop(t *testing.T, s *Server, req EavesdropRequest) EavesdropRe
 	if len(scen.Channels) < 2 {
 		atk := attack.New(pm)
 		atk.Retry = retry
-		if res, err = atk.EavesdropProbe(ctx, kgslProbe, 0, sess.End); err != nil {
+		if res, err = atk.EavesdropStreamContext(ctx, kgslProbe, 0, sess.End, nil); err != nil {
 			t.Fatal(err)
 		}
 	} else {
 		pa := &attack.Attack{Models: []*attack.Model{pm}, Interval: attack.DefaultInterval, Retry: retry}
-		ps, err := attack.NewSamplerRetry(kgslProbe, attack.DefaultInterval, retry)
+		ps, err := attack.NewSamplerTaxonomy(kgslProbe, attack.DefaultInterval, retry, fault.Taxonomy{})
 		if err != nil {
 			t.Fatal(err)
 		}
