@@ -18,15 +18,18 @@
 #                   SARIF report; when CI_ARTIFACTS is set it is copied
 #                   there for upload.
 #   5. go test    — full test suite under the race detector
-#   6. telemetry  — seeded attackd run with -telemetry; the stream must
+#   6. fuzz       — a bounded fuzzing pass (10 s each) over the render
+#                   LRZ cull and the KGSL read buffer, beyond their
+#                   committed seed corpora, which go test already runs
+#   7. telemetry  — seeded attackd run with -telemetry; the stream must
 #                   parse and be non-empty (traceview validates), and it
 #                   must convert to a Chrome trace file; then a faulty
 #                   attackd run archiving its trace with -trace must still
 #                   report the sampler's recovery work (degraded=true)
-#   7. gpuleakd   — serving smoke: start the daemon on an ephemeral port,
+#   8. gpuleakd   — serving smoke: start the daemon on an ephemeral port,
 #                   loadgen -smoke checks /healthz and one /v1/eavesdrop
 #                   round-trip, then SIGTERM must drain to a clean exit 0
-#   8. fleet      — fleet smoke: two gpuleakd replicas behind a
+#   9. fleet      — fleet smoke: two gpuleakd replicas behind a
 #                   gpuleakrouter, one streaming session end to end with
 #                   the owning replica SIGKILLed mid-stream (the router
 #                   must re-shard and the replayed stream must still match
@@ -37,20 +40,20 @@
 #                   error rate and p99 (the gpuleak-metrics/v1 report is
 #                   archived too), then SIGTERM must drain router and
 #                   survivor to exit 0
-#   9. chaos      — fault-injection smoke: cmd/chaos -check asserts the
+#  10. chaos      — fault-injection smoke: cmd/chaos -check asserts the
 #                   none profile is a byte-identical passthrough and that
 #                   injected faults are recovered, never fatal
-#  10. fusion     — channel-plane smoke: the seeded fusion experiment
+#  11. fusion     — channel-plane smoke: the seeded fusion experiment
 #                   must show multi-channel fusion beating the best
 #                   single channel on the starve profile
 #                   (fusion.win > 0.01)
-#  11. arms       — defense-plane smoke: cmd/arms -check asserts the
+#  12. arms       — defense-plane smoke: cmd/arms -check asserts the
 #                   tournament frontier covers every registered defense
 #                   and holds a worthwhile point (fused char-accuracy
 #                   drop >= 0.30 at <= 0.10 overhead), and the fresh
 #                   report must match the committed arms-report.json
 #                   byte for byte (the run is seeded and deterministic)
-#  12. bench      — two-part: a BLOCKING `benchcmp -metrics-only` gate
+#  13. bench      — two-part: a BLOCKING `benchcmp -metrics-only` gate
 #                   (fixed seed+quick metrics are deterministic, so any
 #                   drift vs BENCH_baseline.json is a behavior change;
 #                   fig25's wall-time metrics are skipped by design) plus
@@ -139,6 +142,12 @@ else
     # shellcheck disable=SC2086
     go test -race ${GOTESTFLAGS:-} ./...
 fi
+
+echo "==> fuzz smoke"
+# Render's occluder-index LRZ pass against the quadratic reference, and
+# the PERFCOUNTER_READ ioctl against the per-entry reference loop.
+go test -run '^$' -fuzz '^FuzzRender$' -fuzztime 10s ./internal/render
+go test -run '^$' -fuzz '^FuzzPerfcounterRead$' -fuzztime 10s ./internal/kgsl
 
 echo "==> telemetry smoke"
 # A seeded end-to-end run must emit a parseable, non-empty telemetry

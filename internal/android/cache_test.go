@@ -106,3 +106,50 @@ func TestStatsCacheBounded(t *testing.T) {
 		t.Fatalf("cache holds %d states, want the bound %d", got, maxCachedStates)
 	}
 }
+
+// TestKeyboardLayerMemoMatchesFresh renders every popup state through one
+// compositor, whose keyboard layer is built once per page and then shared
+// by every scene, and through a fresh compositor per state: the frames
+// must be identical.
+func TestKeyboardLayerMemoMatchesFresh(t *testing.T) {
+	warm := testComp()
+	warm.ShareCache(NewStatsCache())
+	for _, r := range warm.KB.TypableRunes() {
+		page, ok := warm.KB.PageFor(r)
+		if !ok {
+			t.Fatalf("rune %q has no page", r)
+		}
+		for _, frame := range []func(*Compositor) render.FrameStats{
+			func(c *Compositor) render.FrameStats { return c.PopupShowStats(page, r) },
+			func(c *Compositor) render.FrameStats { return c.PopupHideStats(page, r) },
+		} {
+			cold := testComp()
+			cold.ShareCache(NewStatsCache())
+			if got, want := frame(warm), frame(cold); got != want {
+				t.Fatalf("rune %q on page %v: memoized layer renders %+v, fresh %+v", r, page, got, want)
+			}
+		}
+	}
+}
+
+// TestRenderPathAllocs pins the allocations of a popup frame's render: a
+// warm keyboard layer is free, and Render allocates only its draw list,
+// presized to the prim count (the opaque-draw index fits on the stack).
+func TestRenderPathAllocs(t *testing.T) {
+	c := testComp()
+	page, r := keyboard.PageLower, 'q'
+	c.keyboardLayer(page)
+	if got := testing.AllocsPerRun(100, func() { c.keyboardLayer(page) }); got != 0 {
+		t.Errorf("warm keyboardLayer: %v allocs, want 0", got)
+	}
+	popup, ok := c.popupRect(page, r)
+	if !ok {
+		t.Fatalf("no popup for %q", r)
+	}
+	s := c.scene(page, r, 0, false)
+	damage := c.Geometry(page).Bounds.Union(popup)
+	const renderAllocs = 1
+	if got := testing.AllocsPerRun(20, func() { render.Render(&s, damage, c.cfg) }); got != renderAllocs {
+		t.Errorf("render.Render of a keyboard-plus-popup frame: %v allocs, want %d", got, renderAllocs)
+	}
+}

@@ -27,8 +27,11 @@ type Compositor struct {
 
 	cfg   render.Config
 	geoms map[keyboard.Page]*keyboard.Geometry
-	fp    fingerprint
-	cache *StatsCache
+	// kbPrims memoizes each page's keyboard layer, which depends only on
+	// the layout and the page; created on the first render.
+	kbPrims map[keyboard.Page][]render.Prim
+	fp      fingerprint
+	cache   *StatsCache
 }
 
 // fingerprint is exactly the configuration NewCompositor renders from:
@@ -185,31 +188,49 @@ func (c *Compositor) Geometry(page keyboard.Page) *keyboard.Geometry {
 	return g
 }
 
-// keyboardLayer builds the IME surface: key caps (opaque quads) plus key
+// keyboardLayer returns the IME surface: key caps (opaque quads) plus key
 // labels (vector glyph primitives — large text renders as tessellated
 // paths). This layer is what a popup redraw re-renders, giving the
-// ~1.6k-primitive frame deltas of Figure 5.
+// ~1.6k-primitive frame deltas of Figure 5. It is built once per page and
+// shared by every scene after that, which is sound because scenes share
+// prim slices and Render only reads them.
 func (c *Compositor) keyboardLayer(page keyboard.Page) render.Layer {
-	g := c.Geometry(page)
-	prims := []render.Prim{render.Quad(g.Bounds, true)}
-	for _, key := range g.Keys {
-		prims = append(prims, render.Quad(key.Face, true))
-		prims = append(prims, render.GlyphPrims(glyph.MustLookup(key.Rune()), key.LabelBox)...)
+	prims, ok := c.kbPrims[page]
+	if !ok {
+		g := c.Geometry(page)
+		prims = []render.Prim{render.Quad(g.Bounds, true)}
+		for _, key := range g.Keys {
+			prims = append(prims, render.Quad(key.Face, true))
+			prims = append(prims, render.GlyphPrims(glyph.MustLookup(key.Rune()), key.LabelBox)...)
+		}
+		if c.kbPrims == nil {
+			c.kbPrims = make(map[keyboard.Page][]render.Prim)
+		}
+		c.kbPrims[page] = prims
 	}
 	return render.Layer{Z: 10, Name: "keyboard", Prims: prims}
 }
 
-// popupLayer builds the key press popup surface above the keyboard.
-func (c *Compositor) popupLayer(page keyboard.Page, r rune) (render.Layer, geom.Rect, bool) {
+// popupRect returns the key press popup's bounds for rune r, false when
+// the page has no key for r.
+func (c *Compositor) popupRect(page keyboard.Page, r rune) (geom.Rect, bool) {
 	g := c.Geometry(page)
 	key, ok := g.KeyFor(r)
 	if !ok {
-		return render.Layer{}, geom.Rect{}, false
+		return geom.Rect{}, false
 	}
-	popup := g.PopupRect(key)
+	return g.PopupRect(key), true
+}
+
+// popupLayer builds the key press popup surface above the keyboard.
+func (c *Compositor) popupLayer(page keyboard.Page, r rune) (render.Layer, bool) {
+	popup, ok := c.popupRect(page, r)
+	if !ok {
+		return render.Layer{}, false
+	}
 	prims := []render.Prim{render.Quad(popup, true)}
-	prims = append(prims, render.GlyphPrims(glyph.MustLookup(r), g.PopupGlyphBox(popup))...)
-	return render.Layer{Z: 20, Name: "popup", Prims: prims}, popup, true
+	prims = append(prims, render.GlyphPrims(glyph.MustLookup(r), c.Geometry(page).PopupGlyphBox(popup))...)
+	return render.Layer{Z: 20, Name: "popup", Prims: prims}, true
 }
 
 // echoLayer renders the masked password echo: one atlas quad (2 triangles)
@@ -237,7 +258,7 @@ func (c *Compositor) scene(page keyboard.Page, popupRune rune, echoLen int, curs
 	s.Add(c.echoLayer(echoLen, cursorOn))
 	s.Add(c.keyboardLayer(page))
 	if popupRune != 0 {
-		if l, _, ok := c.popupLayer(page, popupRune); ok {
+		if l, ok := c.popupLayer(page, popupRune); ok {
 			s.Add(l)
 		}
 	}
@@ -265,11 +286,11 @@ func (c *Compositor) LaunchStats() render.FrameStats {
 // The IME window redraws (keyboard bounds) plus the popup overhang.
 func (c *Compositor) PopupShowStats(page keyboard.Page, r rune) render.FrameStats {
 	return c.cached(stateKey{kind: kindPopupShow, page: page, r: r}, func() render.FrameStats {
-		s := c.scene(page, r, 0, false)
-		_, popup, ok := c.popupLayer(page, r)
+		popup, ok := c.popupRect(page, r)
 		if !ok {
 			return render.FrameStats{}
 		}
+		s := c.scene(page, r, 0, false)
 		damage := c.Geometry(page).Bounds.Union(popup)
 		return render.Render(&s, damage, c.cfg)
 	})
@@ -279,11 +300,11 @@ func (c *Compositor) PopupShowStats(page keyboard.Page, r rune) render.FrameStat
 // damage, keyboard without popup).
 func (c *Compositor) PopupHideStats(page keyboard.Page, r rune) render.FrameStats {
 	return c.cached(stateKey{kind: kindPopupHide, page: page, r: r}, func() render.FrameStats {
-		s := c.scene(page, 0, 0, false)
-		_, popup, ok := c.popupLayer(page, r)
+		popup, ok := c.popupRect(page, r)
 		if !ok {
 			return render.FrameStats{}
 		}
+		s := c.scene(page, 0, 0, false)
 		damage := c.Geometry(page).Bounds.Union(popup)
 		return render.Render(&s, damage, c.cfg)
 	})

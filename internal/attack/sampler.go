@@ -115,6 +115,10 @@ func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*tra
 	sp := s.Obs.Start(start, evSamplerCollect, obs.Int("interval_us", int(s.Interval)))
 	s.Stats = CollectStats{}
 	tr := &trace.Trace{Interval: s.Interval}
+	if end >= start && s.Interval > 0 {
+		// One sample per tick at most, so the loop never grows the trace.
+		tr.Samples = make([]trace.Sample, 0, (end-start)/s.Interval+1)
+	}
 	tf, hasTF := s.File.(TickFaults)
 	var prev [adreno.NumSelected]uint64
 	havePrev := false

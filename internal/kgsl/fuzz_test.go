@@ -85,7 +85,7 @@ func referenceRead(f *File, t sim.Time, rd *PerfcounterRead) error {
 	}
 	for i := range rd.Reads {
 		k := adreno.CounterKey{Group: rd.Reads[i].GroupID, Countable: rd.Reads[i].Countable}
-		if f.dev.reservations[k] == 0 {
+		if _, n := f.dev.reserved(k); n == 0 {
 			return ErrNotReserved
 		}
 		if f.dev.policy != nil {

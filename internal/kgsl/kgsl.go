@@ -146,6 +146,10 @@ type Device struct {
 	// device file entirely.
 	OpenDenied bool
 
+	// selReserved counts the PERFCOUNTER_GETs holding each Table-1
+	// counter, indexed like adreno.Selected; reservations counts those of
+	// every other countable. Read them through reserved.
+	selReserved  [adreno.NumSelected]int
 	reservations map[adreno.CounterKey]int
 	ioctlCount   uint64
 	// metrics, when non-nil, receives per-request ioctl counts and an
@@ -306,12 +310,26 @@ func (f *File) ioctl(t sim.Time, request uint32, arg any) error {
 	}
 }
 
+// reserved resolves k to its adreno.Selected index (-1 outside Table 1)
+// and reports how many PERFCOUNTER_GETs currently hold it. Table-1 keys
+// are counted in an array, so the per-entry read check hashes nothing.
+func (d *Device) reserved(k adreno.CounterKey) (j, n int) {
+	if j = adreno.SelectedIndex(k); j >= 0 {
+		return j, d.selReserved[j]
+	}
+	return j, d.reservations[k]
+}
+
 func (f *File) perfcounterGet(get *PerfcounterGet) error {
 	k := adreno.CounterKey{Group: get.GroupID, Countable: get.Countable}
 	if _, ok := adreno.CounterString(k); !ok {
 		return ErrNoEnt
 	}
-	f.dev.reservations[k]++
+	if j := adreno.SelectedIndex(k); j >= 0 {
+		f.dev.selReserved[j]++
+	} else {
+		f.dev.reservations[k]++
+	}
 	// Return a plausible register offset, as the real driver does.
 	get.OffsetLo = 0xA000 + get.GroupID*0x100 + get.Countable*8
 	get.OffsetHi = get.OffsetLo + 4
@@ -320,10 +338,15 @@ func (f *File) perfcounterGet(get *PerfcounterGet) error {
 
 func (f *File) perfcounterPut(put *PerfcounterPut) error {
 	k := adreno.CounterKey{Group: put.GroupID, Countable: put.Countable}
-	if f.dev.reservations[k] == 0 {
+	j, n := f.dev.reserved(k)
+	if n == 0 {
 		return ErrNotReserved
 	}
-	f.dev.reservations[k]--
+	if j >= 0 {
+		f.dev.selReserved[j]--
+	} else {
+		f.dev.reservations[k]--
+	}
 	return nil
 }
 
@@ -339,7 +362,8 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 	vec := f.dev.gpu.ReadSelected(t)
 	for i := range rd.Reads {
 		k := adreno.CounterKey{Group: rd.Reads[i].GroupID, Countable: rd.Reads[i].Countable}
-		if f.dev.reservations[k] == 0 {
+		j, n := f.dev.reserved(k)
+		if n == 0 {
 			return ErrNotReserved
 		}
 		if f.dev.policy != nil {
@@ -349,7 +373,7 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 		}
 		// Reserved countables outside Table 1 read as a constant 0.
 		var v uint64
-		if j := adreno.SelectedIndex(k); j >= 0 {
+		if j >= 0 {
 			v = vec[j]
 		}
 		if f.dev.obfuscator != nil {

@@ -335,3 +335,80 @@ func TestMultiCounterReadSingleIoctl(t *testing.T) {
 		t.Fatalf("multi-counter read used %d ioctls, want 1", d.IoctlCount()-n0)
 	}
 }
+
+// TestReservationLifecycle drives GET, READ and PUT for a Table-1 counter
+// and for a countable outside Table 1, which the driver counts in
+// different stores: each must keep its own count, read only while held,
+// reject a PUT past zero and refuse a read after its last PUT.
+func TestReservationLifecycle(t *testing.T) {
+	type step struct {
+		op      uint32
+		wantErr error
+		held    int // reserved count after the step
+	}
+	steps := []step{
+		{IoctlPerfcounterRead, ErrNotReserved, 0},
+		{IoctlPerfcounterPut, ErrNotReserved, 0},
+		{IoctlPerfcounterGet, nil, 1},
+		{IoctlPerfcounterGet, nil, 2},
+		{IoctlPerfcounterRead, nil, 2},
+		{IoctlPerfcounterPut, nil, 1},
+		{IoctlPerfcounterRead, nil, 1},
+		{IoctlPerfcounterPut, nil, 0},
+		{IoctlPerfcounterRead, ErrNotReserved, 0},
+		{IoctlPerfcounterPut, ErrNotReserved, 0},
+		{IoctlPerfcounterGet, nil, 1},
+		{IoctlPerfcounterRead, nil, 1},
+	}
+	for _, tc := range []struct {
+		name      string
+		key       adreno.CounterKey
+		wantIndex int
+	}{
+		{"table1", adreno.CounterKey{Group: adreno.GroupLRZ, Countable: adreno.LRZVisiblePrimAfterLRZ}, 0},
+		{"outside", adreno.CounterKey{Group: adreno.GroupLRZ, Countable: 0}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestDevice()
+			f := openTestFile(t, d)
+			// Countables outside Table 1 read as a constant 0.
+			var wantValue uint64
+			if tc.wantIndex >= 0 {
+				wantValue = d.GPU().ReadSelected(5000)[tc.wantIndex]
+			}
+			// A reservation of the other store's key must not count here.
+			other := adreno.CounterKey{Group: adreno.GroupRAS, Countable: 9}
+			if tc.wantIndex < 0 {
+				other = adreno.Selected[1]
+			}
+			if err := f.Ioctl(0, IoctlPerfcounterGet, &PerfcounterGet{GroupID: other.Group, Countable: other.Countable}); err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range steps {
+				var arg any
+				rd := PerfcounterRead{Reads: []PerfcounterReadGroup{{GroupID: tc.key.Group, Countable: tc.key.Countable, Value: 0xdead}}}
+				switch s.op {
+				case IoctlPerfcounterGet:
+					arg = &PerfcounterGet{GroupID: tc.key.Group, Countable: tc.key.Countable}
+				case IoctlPerfcounterPut:
+					arg = &PerfcounterPut{GroupID: tc.key.Group, Countable: tc.key.Countable}
+				case IoctlPerfcounterRead:
+					arg = &rd
+				}
+				err := f.Ioctl(5000, s.op, arg)
+				if !errors.Is(err, s.wantErr) || (err == nil) != (s.wantErr == nil) {
+					t.Fatalf("step %d (%s): err %v, want %v", i, ioctlMetricName(s.op), err, s.wantErr)
+				}
+				if s.op == IoctlPerfcounterRead && err == nil && rd.Reads[0].Value != wantValue {
+					t.Fatalf("step %d: read %d, want %d", i, rd.Reads[0].Value, wantValue)
+				}
+				if j, n := d.reserved(tc.key); j != tc.wantIndex || n != s.held {
+					t.Fatalf("step %d (%s): reserved = (%d, %d), want (%d, %d)", i, ioctlMetricName(s.op), j, n, tc.wantIndex, s.held)
+				}
+			}
+			if _, n := d.reserved(other); n != 1 {
+				t.Fatalf("other key %v holds %d reservations, want 1", other, n)
+			}
+		})
+	}
+}

@@ -196,19 +196,29 @@ func Render(s *Scene, damage geom.Rect, cfg Config) FrameStats {
 		return stats
 	}
 
-	// Gather draw list in back-to-front order, clipped to the damage rect.
+	// Gather draw list in back-to-front order, clipped to the damage rect,
+	// and the indices of its opaque draws: only those can occlude.
 	type drawn struct {
 		clip   geom.Rect
 		opaque bool
 		tris   int
 		verts  int
 	}
-	var list []drawn
+	n := 0
+	for _, l := range s.Layers {
+		n += len(l.Prims)
+	}
+	list := make([]drawn, 0, n)
+	var occBuf [64]int // a keyboard frame has ~40 opaque draws
+	occluders := occBuf[:0]
 	for _, l := range s.Layers {
 		for _, p := range l.Prims {
 			clip := p.Rect.Intersect(damage)
 			if clip.Empty() {
 				continue
+			}
+			if p.Opaque {
+				occluders = append(occluders, len(list))
 			}
 			list = append(list, drawn{clip: clip, opaque: p.Opaque, tris: p.Tris, verts: p.Verts})
 		}
@@ -226,10 +236,14 @@ func Render(s *Scene, damage geom.Rect, cfg Config) FrameStats {
 		// LRZ pass: a primitive is culled when a later (higher) opaque
 		// primitive fully covers it. Single-rect containment is exact for
 		// the popup-over-key and surface-over-background cases that drive
-		// the side channel.
+		// the side channel. occluders is ascending, so dropping its head
+		// up to i leaves exactly the opaque draws after this one.
+		for len(occluders) > 0 && occluders[0] <= i {
+			occluders = occluders[1:]
+		}
 		culled := false
-		for j := i + 1; j < len(list); j++ {
-			if list[j].opaque && list[j].clip.Contains(d.clip) {
+		for _, j := range occluders {
+			if list[j].clip.Contains(d.clip) {
 				culled = true
 				break
 			}

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -294,4 +295,22 @@ func stringsRepeatBullet(n int) string {
 		out[i] = '•'
 	}
 	return string(out)
+}
+
+// TestRenderLeavesPrimsUnchanged renders a scene whose layers mix opaque
+// and translucent prims under several damage rects: every layer's prims
+// must come out as they went in, since scenes share prim slices and the
+// compositor reuses its keyboard layer across frames.
+func TestRenderLeavesPrimsUnchanged(t *testing.T) {
+	s := testScene()
+	box := geom.XYWH(300, 1700, 120, 150)
+	s.Add(Layer{Z: 5, Name: "text", Prims: TextPrims("Qgw8", geom.XYWH(40, 400, 600, 80), 60)})
+	s.Add(Layer{Z: 10, Name: "popup", Prims: append([]Prim{Quad(box, true)}, GlyphPrims(glyph.MustLookup('q'), box.Inset(12))...)})
+	before := snapshotPrims(s)
+	for _, damage := range []geom.Rect{s.Bounds(), box, box.Inset(-20), geom.XYWH(50, 410, 90, 30)} {
+		Render(s, damage, DefaultConfig())
+		if after := snapshotPrims(s); !reflect.DeepEqual(after, before) {
+			t.Fatalf("Render over %v changed a layer's prims", damage)
+		}
+	}
 }
