@@ -13,14 +13,15 @@
 #                   analysis & CI"); production packages only, gated
 #                   against the committed gpuvet-baseline.json, with the
 #                   //gpuvet:ignore count reconciled against
-#                   gpuvet-waivers.json and the hot-path allocation
-#                   budget (gpuvet-hotalloc.json) enforced. Emits a
-#                   SARIF report; when CI_ARTIFACTS is set it is copied
-#                   there for upload.
+#                   gpuvet-waivers.json. Emits a SARIF report; when
+#                   CI_ARTIFACTS is set it is copied there for upload.
+#                   Hot-path allocations are gated by the
+#                   testing.AllocsPerRun pins in step 5, not here.
 #   5. go test    — full test suite under the race detector
 #   6. fuzz       — a bounded fuzzing pass (10 s each) over the render
-#                   LRZ cull and the KGSL read buffer, beyond their
-#                   committed seed corpora, which go test already runs
+#                   LRZ cull, the KGSL read buffer and the whole-trace
+#                   segmentation DP, beyond their committed seed
+#                   corpora, which go test already runs
 #   7. telemetry  — seeded attackd run with -telemetry; the stream must
 #                   parse and be non-empty (traceview validates), and it
 #                   must convert to a Chrome trace file; then a faulty
@@ -55,7 +56,9 @@
 #                   byte for byte (the run is seeded and deterministic)
 #  13. bench      — two-part: a BLOCKING `benchcmp -metrics-only` gate
 #                   (fixed seed+quick metrics are deterministic, so any
-#                   drift vs BENCH_baseline.json is a behavior change;
+#                   drift vs BENCH_baseline.json, or an experiment or
+#                   metric it lists that the fresh run lacks, is a
+#                   behavior change;
 #                   fig25's wall-time metrics are skipped by design) plus
 #                   the warn-only wall-clock comparison (shared runners
 #                   are too noisy to gate on timings)
@@ -144,10 +147,12 @@ else
 fi
 
 echo "==> fuzz smoke"
-# Render's occluder-index LRZ pass against the quadratic reference, and
-# the PERFCOUNTER_READ ioctl against the per-entry reference loop.
+# Render's occluder-index LRZ pass against the quadratic reference, the
+# PERFCOUNTER_READ ioctl against the per-entry reference loop, and the
+# segmentation DP against a brute force over every segmentation.
 go test -run '^$' -fuzz '^FuzzRender$' -fuzztime 10s ./internal/render
 go test -run '^$' -fuzz '^FuzzPerfcounterRead$' -fuzztime 10s ./internal/kgsl
+go test -run '^$' -fuzz '^FuzzSegmentCluster$' -fuzztime 10s ./internal/attack
 
 echo "==> telemetry smoke"
 # A seeded end-to-end run must emit a parseable, non-empty telemetry

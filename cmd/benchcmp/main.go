@@ -12,7 +12,8 @@
 //
 // -metrics-only splits the determinism gate from the perf watch: it
 // ignores wall time entirely (shared CI runners make timings noisy) and
-// fails only on new experiment failures or headline-metric drift, which
+// fails only on new experiment failures, headline-metric drift, or an
+// experiment or metric of the baseline that the new report lacks, which
 // with fixed seed+quick settings are deterministic and therefore
 // blocking. CI runs -metrics-only as a gate and the plain wall-clock
 // comparison warn-only.
@@ -25,7 +26,8 @@
 //
 // Exit status: 0 when the new report is within tolerance, 1 on a
 // wall-clock regression beyond -max-regress (unless -metrics-only), new
-// experiment failures, or metric drift under -metrics/-metrics-only;
+// experiment failures, or metric drift or a missing experiment or metric
+// under -metrics/-metrics-only;
 // 2 on usage or load errors.
 package main
 
@@ -33,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path"
 	"sort"
@@ -83,8 +86,18 @@ func main() {
 		fatal(err)
 	}
 
+	if compare(os.Stdout, old, cur, *maxRegress, *checkMetrics || *metricsOnly, *metricsOnly, splitPatterns(*skip)) {
+		os.Exit(1)
+	}
+}
+
+// compare prints the comparison of cur against the baseline old to w and
+// reports whether it fails: new experiment failures always do, a wall
+// time beyond maxRegress unless metricsOnly, and metric drift or a
+// vanished experiment or metric when metrics is set.
+func compare(w io.Writer, old, cur *report, maxRegress float64, metrics, metricsOnly bool, skip []string) bool {
 	if old.Quick != cur.Quick || old.Seed != cur.Seed {
-		fmt.Printf("note: configs differ (quick %v/%v, seed %d/%d); timings are not directly comparable\n",
+		fmt.Fprintf(w, "note: configs differ (quick %v/%v, seed %d/%d); timings are not directly comparable\n",
 			old.Quick, cur.Quick, old.Seed, cur.Seed)
 	}
 
@@ -92,7 +105,7 @@ func main() {
 	if old.WallSeconds > 0 {
 		ratio = cur.WallSeconds / old.WallSeconds
 	}
-	fmt.Printf("wall: %.2fs -> %.2fs (%.2fx baseline, go %s -> %s)\n",
+	fmt.Fprintf(w, "wall: %.2fs -> %.2fs (%.2fx baseline, go %s -> %s)\n",
 		old.WallSeconds, cur.WallSeconds, ratio, old.GoVersion, cur.GoVersion)
 
 	oldExp := map[string]experimentReport{}
@@ -102,34 +115,32 @@ func main() {
 	for _, e := range cur.Experiments {
 		prev, ok := oldExp[e.ID]
 		if !ok {
-			fmt.Printf("  %-22s new experiment (%.2fs)\n", e.ID, e.Seconds)
+			fmt.Fprintf(w, "  %-22s new experiment (%.2fs)\n", e.ID, e.Seconds)
 			continue
 		}
 		r := 0.0
 		if prev.Seconds > 0 {
 			r = e.Seconds / prev.Seconds
 		}
-		fmt.Printf("  %-22s %6.2fs -> %6.2fs (%.2fx)\n", e.ID, prev.Seconds, e.Seconds, r)
+		fmt.Fprintf(w, "  %-22s %6.2fs -> %6.2fs (%.2fx)\n", e.ID, prev.Seconds, e.Seconds, r)
 	}
 
 	failed := false
 	if cur.Failures > old.Failures {
-		fmt.Printf("FAIL: %d experiment failures (baseline had %d)\n", cur.Failures, old.Failures)
+		fmt.Fprintf(w, "FAIL: %d experiment failures (baseline had %d)\n", cur.Failures, old.Failures)
 		failed = true
 	}
-	if !*metricsOnly && old.WallSeconds > 0 && ratio > *maxRegress {
-		fmt.Printf("FAIL: wall time %.2fx baseline exceeds -max-regress %.2f\n", ratio, *maxRegress)
+	if !metricsOnly && old.WallSeconds > 0 && ratio > maxRegress {
+		fmt.Fprintf(w, "FAIL: wall time %.2fx baseline exceeds -max-regress %.2f\n", ratio, maxRegress)
 		failed = true
 	}
-
-	if *checkMetrics || *metricsOnly {
-		failed = diffMetrics(old, cur, splitPatterns(*skip)) || failed
+	if metrics {
+		failed = diffMetrics(w, old, cur, skip) || failed
 	}
-
-	if failed {
-		os.Exit(1)
+	if !failed {
+		fmt.Fprintln(w, "within tolerance")
 	}
-	fmt.Println("within tolerance")
+	return failed
 }
 
 // splitPatterns parses the -skip flag into its pattern list.
@@ -156,40 +167,46 @@ func skipped(patterns []string, expID, metric string) bool {
 	return false
 }
 
-// diffMetrics reports every headline metric whose value changed between
-// the runs. With identical seed/quick settings the suite is
-// deterministic, so any drift is a behavior change worth reading.
-func diffMetrics(old, cur *report, skip []string) bool {
-	oldExp := map[string]experimentReport{}
-	for _, e := range old.Experiments {
-		oldExp[e.ID] = e
-	}
-	drift := false
+// diffMetrics walks the baseline and reports every headline metric that
+// changed, and every experiment or metric that vanished, between the
+// runs. With identical seed/quick settings the suite is deterministic, so
+// any drift is a behavior change worth reading, and a missing result is a
+// check that silently stopped running. Metrics only the new report has
+// are not compared.
+func diffMetrics(w io.Writer, old, cur *report, skip []string) bool {
+	curExp := map[string]experimentReport{}
 	for _, e := range cur.Experiments {
-		prev, ok := oldExp[e.ID]
+		curExp[e.ID] = e
+	}
+	bad := false
+	for _, prev := range old.Experiments {
+		e, ok := curExp[prev.ID]
 		if !ok {
+			fmt.Fprintf(w, "MISSING: experiment %s is in the baseline but not in the new report\n", prev.ID)
+			bad = true
 			continue
 		}
-		keys := make([]string, 0, len(e.Metrics))
-		for k := range e.Metrics {
+		keys := make([]string, 0, len(prev.Metrics))
+		for k := range prev.Metrics {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			pv, had := prev.Metrics[k]
-			if !had {
+			if skipped(skip, prev.ID, k) {
 				continue
 			}
-			if skipped(skip, e.ID, k) {
-				continue
-			}
-			if pv != e.Metrics[k] {
-				fmt.Printf("METRIC DRIFT: %s/%s %.6f -> %.6f\n", e.ID, k, pv, e.Metrics[k])
-				drift = true
+			v, has := e.Metrics[k]
+			switch {
+			case !has:
+				fmt.Fprintf(w, "MISSING: metric %s/%s is in the baseline but not in the new report\n", prev.ID, k)
+				bad = true
+			case v != prev.Metrics[k]:
+				fmt.Fprintf(w, "METRIC DRIFT: %s/%s %.6f -> %.6f\n", prev.ID, k, prev.Metrics[k], v)
+				bad = true
 			}
 		}
 	}
-	return drift
+	return bad
 }
 
 func load(path string) (*report, error) {

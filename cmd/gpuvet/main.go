@@ -2,14 +2,12 @@
 // checks enforcing the invariants the reproduction's fidelity depends on
 // (deterministic sim.Time clocks and map serialization, end-to-end
 // context threading, msm_kgsl.h counter constants, float-comparison and
-// mutex hygiene, ioctl size consistency, the typed error taxonomy, and
-// the hot-path allocation budget).
+// mutex hygiene, ioctl size consistency, and the typed error taxonomy).
 //
 // Usage:
 //
 //	gpuvet [-tests] [-list] [-sarif file] [-baseline file]
-//	       [-write-baseline file] [-waivers file] [-hotalloc-budget file]
-//	       [packages]
+//	       [-write-baseline file] [-waivers file] [packages]
 //
 // Packages default to ./... (the whole module). Findings print as
 // file:line:col: [check] message and make the command exit nonzero.
@@ -22,9 +20,6 @@
 //   - -waivers checks the //gpuvet:ignore directive counts against the
 //     committed gpuvet-waivers.json ledger, failing when waivers grow
 //     (or shrink) without a matching ledger edit.
-//   - -hotalloc-budget names the per-function allocation budget file;
-//     it defaults to gpuvet-hotalloc.json at the module root and the
-//     hotalloc analyzer is skipped when the file does not exist.
 //
 // Suppress an intentional finding with a comment on or above the line:
 //
@@ -37,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"gpuleak/internal/analysis"
 )
@@ -49,7 +43,6 @@ func main() {
 	baselinePath := flag.String("baseline", "", "only fail on findings absent from this gpuvet-baseline.json")
 	writeBaseline := flag.String("write-baseline", "", "write current findings as a fresh baseline file and exit 0")
 	waiversPath := flag.String("waivers", "", "check //gpuvet:ignore counts against this gpuvet-waivers.json ledger")
-	hotallocPath := flag.String("hotalloc-budget", "", "hot-path allocation budget file (default: gpuvet-hotalloc.json at the module root, skipped if absent)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: gpuvet [flags] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the repo's invariant checks; packages default to ./...\n")
@@ -76,26 +69,11 @@ func main() {
 	}
 	loader.IncludeTests = *tests
 
-	cfg := &analysis.Config{ModuleRoot: loader.ModuleRoot}
-	budgetFile := *hotallocPath
-	if budgetFile == "" {
-		candidate := filepath.Join(loader.ModuleRoot, "gpuvet-hotalloc.json")
-		if _, err := os.Stat(candidate); err == nil {
-			budgetFile = candidate
-		}
-	}
-	if budgetFile != "" {
-		cfg.HotAlloc, err = analysis.LoadHotAllocBudget(budgetFile)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fatal(err)
 	}
-	diags := analysis.RunConfig(cfg, pkgs, analyzers)
+	diags := analysis.Run(pkgs, analyzers)
 
 	if *writeBaseline != "" {
 		f, err := os.Create(*writeBaseline)

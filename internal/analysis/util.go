@@ -132,21 +132,3 @@ func recvNamed(t types.Type) *types.Named {
 	named, _ := t.(*types.Named)
 	return named
 }
-
-// funcDisplayName renders a declaration as "Name" or "(Recv).Name" /
-// "(*Recv).Name" — the spelling the hotalloc budget file keys on.
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	recv := fn.Recv.List[0].Type
-	switch r := recv.(type) {
-	case *ast.StarExpr:
-		if id, ok := r.X.(*ast.Ident); ok {
-			return "(*" + id.Name + ")." + fn.Name.Name
-		}
-	case *ast.Ident:
-		return "(" + r.Name + ")." + fn.Name.Name
-	}
-	return fn.Name.Name
-}

@@ -22,7 +22,7 @@ func baseVictimConfig() victim.Config {
 	return victim.Config{Device: android.OnePlus8Pro, Seed: 99}
 }
 
-func sharedModel(t *testing.T) *Model {
+func sharedModel(t testing.TB) *Model {
 	t.Helper()
 	modelOnce.Do(func() {
 		oneModel, modelErr = Collect(baseVictimConfig(), CollectOptions{Repeats: 2})

@@ -112,7 +112,11 @@ func (s *Sampler) Collect(start, end sim.Time) (*trace.Trace, error) {
 // aborts with the context's error, so a canceled request never completes
 // a sweep it no longer needs.
 func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*trace.Trace, error) {
-	sp := s.Obs.Start(start, evSamplerCollect, obs.Int("interval_us", int(s.Interval)))
+	// The span's field list escapes, so only build it when a tracer reads it.
+	var sp *obs.Span
+	if s.Obs != nil {
+		sp = s.Obs.Start(start, evSamplerCollect, obs.Int("interval_us", int(s.Interval)))
+	}
 	s.Stats = CollectStats{}
 	tr := &trace.Trace{Interval: s.Interval}
 	if end >= start && s.Interval > 0 {

@@ -9,10 +9,11 @@ import (
 	"gpuleak/internal/victim"
 )
 
-// TestCollectAllocs pins the allocations of one fault-free collection:
-// the trace, its sample slice, presized to the tick count so the polling
-// loop never grows it, and the span-start field list. Every tick reads
-// through the KGSL file's reused request buffer and allocates nothing.
+// TestCollectAllocs pins the allocations of one fault-free collection
+// without a tracer: the trace and its sample slice, presized to the tick
+// count so the polling loop never grows it (trace.Append never
+// reallocates). Every tick reads through the KGSL file's reused request
+// buffer and allocates nothing, so one allocating tick would add ~475.
 func TestCollectAllocs(t *testing.T) {
 	sess := victim.New(baseVictimConfig())
 	sess.Run(input.Script{Events: []input.Event{
@@ -40,7 +41,7 @@ func TestCollectAllocs(t *testing.T) {
 	if ticks := int(sess.End/DefaultInterval) + 1; tr.Len() != ticks || cap(tr.Samples) != ticks {
 		t.Fatalf("trace holds %d samples in cap %d, want %d ticks", tr.Len(), cap(tr.Samples), ticks)
 	}
-	const collectAllocs = 3
+	const collectAllocs = 2
 	if got := testing.AllocsPerRun(20, collect); got != collectAllocs {
 		t.Errorf("Sampler.CollectContext: %v allocs, want %d", got, collectAllocs)
 	}

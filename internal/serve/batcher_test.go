@@ -157,3 +157,25 @@ func TestBatcherWindowSplitsFlushes(t *testing.T) {
 			snap["serve.batch.jobs"], snap["serve.batch.flushes"])
 	}
 }
+
+// TestBatcherClassifyAllocs pins a warm Classify round trip (pool get,
+// enqueue, dispatch, flush, reply, pool put) at zero allocations: jobs
+// come from the pool with their reply channel already made, and the
+// dispatcher reuses one batch slice forever. The count is per call: the
+// race detector drops about one sync.Pool Put in four on purpose, which
+// stays under one allocation per call but not per batch of calls.
+func TestBatcherClassifyAllocs(t *testing.T) {
+	m := batchModel()
+	ats, vecs := batchInputs(50)
+	b := NewBatcher(1, sim.Millisecond, 16, obs.NewMetrics())
+	defer b.Close()
+	i := 0
+	classify := func() {
+		b.Classify(0, m, ats[i%len(ats)], vecs[i%len(vecs)])
+		i++
+	}
+	classify()
+	if got := testing.AllocsPerRun(200, classify); got != 0 {
+		t.Errorf("warm Batcher.Classify: %v allocs per call, want 0", got)
+	}
+}
